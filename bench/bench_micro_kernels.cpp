@@ -8,14 +8,18 @@
 //   * obs primitives (counter/histogram/gauge/timer) and an instrumented
 //     jacobi5 tile, backing the "<2% overhead" acceptance claim: compare
 //     BM_Jacobi5Instrumented here against a -DREPRO_OBS_DISABLE build.
+//   * the rt::fuse_supersteps graph rewrite at the fused-CA solve's shape
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <chrono>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/graph_transform.hpp"
 #include "runtime/trace.hpp"
 #include "spmv/csr.hpp"
+#include "stencil/dist_stencil.hpp"
 #include "stencil/halo.hpp"
 #include "stencil/kernel.hpp"
 #include "stencil/kernel_opt.hpp"
@@ -377,6 +381,40 @@ void BM_SerialSweep(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SerialSweep)->Arg(512)->Arg(1024);
+
+void BM_FuseSupersteps(benchmark::State& state) {
+  // The graph rewrite alone at the fused CA solve's shape (N=768, tile 32,
+  // 2x2 nodes, steps 4, fuse 2, persistent routes): 58,176 -> 8,064 tasks.
+  // Only the pass is timed: building the input graph and freeing the
+  // previous result are not.
+  const Problem problem = random_problem(768, 768, 100, 1);
+  DistConfig config;
+  config.decomp = {32, 32, 2, 2};
+  config.steps = 4;
+  config.fuse_depth = 2;
+  config.persistent = true;
+  rt::TaskGraph graph;
+  rt::FuseReport report;
+  double pass_s = 0.0;
+  for (auto _ : state) {
+    graph = rt::TaskGraph();
+    const int window = add_solve_subgraph(graph, problem, config).fuse_window();
+    const auto start = std::chrono::steady_clock::now();
+    report = rt::fuse_supersteps(graph, window);
+    benchmark::DoNotOptimize(report);
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(elapsed.count());
+    pass_s += elapsed.count();
+  }
+  state.counters["tasks_in"] = static_cast<double>(report.tasks_before);
+  state.counters["tasks_out"] = static_cast<double>(report.tasks_after);
+  state.counters["ns/task"] =
+      pass_s * 1e9 /
+      (static_cast<double>(report.tasks_before) *
+       static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_FuseSupersteps)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -80,15 +80,28 @@ void TaskGraph::seal(int nranks) {
 }
 
 std::size_t TaskGraph::index_of(const TaskKey& key) const {
-  const auto it = by_key_.find(key);
-  if (it == by_key_.end()) {
+  const std::size_t index = find(key);
+  if (index == npos) {
     throw std::out_of_range("TaskGraph: unknown task " + key.to_string());
   }
-  return it->second;
+  return index;
+}
+
+std::size_t TaskGraph::find(const TaskKey& key) const {
+  const auto it = by_key_.find(key);
+  return it == by_key_.end() ? npos : it->second;
 }
 
 bool TaskGraph::contains(const TaskKey& key) const {
-  return by_key_.count(key) > 0;
+  return find(key) != npos;
+}
+
+std::vector<TaskSpec> TaskGraph::take_specs() {
+  if (sealed_) throw std::logic_error("TaskGraph: take_specs after seal");
+  by_key_.clear();
+  std::vector<TaskSpec> specs;
+  specs.swap(specs_);
+  return specs;
 }
 
 std::size_t TaskGraph::slot_fanout(std::size_t index, std::uint16_t slot) const {

@@ -79,10 +79,21 @@ class TaskGraph {
 
   const TaskSpec& spec(std::size_t index) const { return specs_[index]; }
 
+  /// find()'s "no such task".
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
   /// Index lookup by key; throws if absent.
   std::size_t index_of(const TaskKey& key) const;
+  /// Index lookup by key; npos if absent (one probe, for passes that resolve
+  /// every flow of a graph).
+  std::size_t find(const TaskKey& key) const;
   /// Whether a task with this key has been added.
   bool contains(const TaskKey& key) const;
+
+  /// Move every spec out, in index order, leaving the graph empty and
+  /// unsealed so a rewrite pass can refill it with add_task() without
+  /// copying task bodies or inputs. Throws std::logic_error once sealed.
+  std::vector<TaskSpec> take_specs();
 
   /// A consumer edge attached to a producer's output slot.
   struct ConsumerEdge {

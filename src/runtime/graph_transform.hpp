@@ -60,17 +60,24 @@ struct FuseReport {
 ///   * edges crossing a window boundary survive as real flows, with the
 ///     producer-side slot remapped onto the fused task (the last member's
 ///     slots keep their numbers; earlier members' externally-consumed slots
-///     move to fresh slot ids above every slot the input graph references).
-///     Route annotations (persistent channels) are preserved verbatim.
+///     get ids handed out downward from 65535, which must all stay above
+///     every slot a flow of the input graph reads). Route annotations
+///     (persistent channels) are preserved verbatim.
 /// Outputs of non-last members that nobody consumes are dropped; the last
 /// member's unconsumed outputs are re-published so result() still sees them.
+/// A last member publishing an unconsumed slot onto an id its window
+/// remapped fails the run with an error naming the slot and the window.
 ///
 /// Legality is checked, not assumed: an intra-window edge from a later to an
-/// earlier member, or a window-level dependence cycle (which is what fusing
-/// a graph whose chains exchange every step produces), throws
-/// GraphTransformError and leaves the graph untouched. k == 1 or a graph
-/// with no chain metadata is an exact no-op. Tasks per chain after fusing =
-/// ceil(members / k).
+/// earlier member, a window-level dependence cycle (which is what fusing a
+/// graph whose chains exchange every step produces), or running out of
+/// remapped slot ids throws GraphTransformError and leaves the graph
+/// untouched. k == 1 or a graph with no chain metadata is an exact no-op.
+/// Tasks per chain after fusing = ceil(members / k).
+///
+/// Cost: one sort of the chained tasks plus work linear in tasks and flows
+/// (one producer lookup per flow); member specs are moved into the fused
+/// tasks' shared plan, never copied.
 FuseReport fuse_supersteps(TaskGraph& graph, int k);
 
 }  // namespace repro::rt

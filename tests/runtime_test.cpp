@@ -92,6 +92,62 @@ TEST(TaskGraph, ConsumerEdgesAndFanout) {
   EXPECT_EQ(graph.slot_fanout(graph.index_of(key(1)), 1), 0u);
 }
 
+TEST(TaskGraph, FindReturnsIndexOrNpos) {
+  TaskGraph graph;
+  for (int i = 0; i < 3; ++i) {
+    TaskSpec spec;
+    spec.key = key(7, i);
+    spec.body = [](TaskContext&) {};
+    graph.add_task(spec);
+  }
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(graph.find(key(7, i)), static_cast<std::size_t>(i));
+    EXPECT_EQ(graph.find(key(7, i)), graph.index_of(key(7, i)));
+  }
+  EXPECT_EQ(graph.find(key(7, 3)), TaskGraph::npos);
+  EXPECT_FALSE(graph.contains(key(7, 3)));
+  EXPECT_THROW(graph.index_of(key(7, 3)), std::out_of_range);
+}
+
+TEST(TaskGraph, TakeSpecsEmptiesTheGraphForARebuild) {
+  TaskGraph graph;
+  TaskSpec source;
+  source.key = key(1);
+  source.klass = "source";
+  source.body = [](TaskContext& ctx) { ctx.publish(0, {2.0}); };
+  graph.add_task(source);
+  TaskSpec sink;
+  sink.key = key(2);
+  sink.inputs = {{key(1), 0}};
+  sink.body = [](TaskContext& ctx) {
+    ctx.publish(0, {ctx.input(0)[0] * 3.0});
+  };
+  graph.add_task(sink);
+
+  std::vector<TaskSpec> specs = graph.take_specs();
+  ASSERT_EQ(specs.size(), 2u);
+  EXPECT_EQ(specs[0].key, key(1));
+  EXPECT_EQ(specs[0].klass, "source");
+  EXPECT_EQ(specs[1].key, key(2));
+  ASSERT_EQ(specs[1].inputs.size(), 1u);
+  EXPECT_EQ(specs[1].inputs[0].producer, key(1));
+  EXPECT_TRUE(specs[0].body && specs[1].body);
+  EXPECT_EQ(graph.size(), 0u);
+  EXPECT_FALSE(graph.sealed());
+  EXPECT_EQ(graph.find(key(1)), TaskGraph::npos);
+
+  // Refill in reverse order: the same keys are free again, indices follow
+  // the new insertion order, and the moved bodies still run.
+  graph.add_task(std::move(specs[1]));
+  graph.add_task(std::move(specs[0]));
+  EXPECT_EQ(graph.find(key(2)), 0u);
+  EXPECT_EQ(graph.find(key(1)), 1u);
+  Runtime runtime(Config{1, 1, true, false});
+  runtime.run(graph);
+  EXPECT_EQ(*runtime.result(key(2), 0), std::vector<double>{6.0});
+  EXPECT_THROW(graph.take_specs(), std::logic_error);
+}
+
 // Build a chain: source publishes {1,2,3}; each stage adds 1 to every
 // element; verify the final buffer. Stages alternate ranks to exercise remote
 // messaging.
