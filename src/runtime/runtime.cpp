@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "net/persistent_channel.hpp"
 #include "support/timing.hpp"
@@ -47,12 +48,12 @@ class RuntimeTaskContext final : public TaskContext {
   int worker() const override { return worker_; }
 
   Buffer input_buffer(std::size_t i) const override {
-    const auto& inputs = runtime_.states_[task_index_].inputs;
-    if (i >= inputs.size()) {
+    if (i >= num_inputs()) {
       throw std::out_of_range("TaskContext: input index " + std::to_string(i) +
                               " out of range for " + key().to_string());
     }
-    const Buffer& buf = inputs[i];
+    const Buffer& buf =
+        runtime_.inputs_[runtime_.input_base_[task_index_] + i].buffer;
     if (!buf) {
       throw std::logic_error("TaskContext: input " + std::to_string(i) +
                              " of " + key().to_string() + " not delivered");
@@ -61,7 +62,8 @@ class RuntimeTaskContext final : public TaskContext {
   }
 
   std::size_t num_inputs() const override {
-    return runtime_.states_[task_index_].inputs.size();
+    return runtime_.input_base_[task_index_ + 1] -
+           runtime_.input_base_[task_index_];
   }
 
   using TaskContext::publish;
@@ -240,6 +242,10 @@ void Runtime::release_run() {
   graph_ = nullptr;
   states_.clear();
   states_.shrink_to_fit();
+  input_base_.clear();
+  input_base_.shrink_to_fit();
+  inputs_.reset();
+  remaining_.reset();
   queues_.clear();
   outboxes_.clear();
   pchan_ = nullptr;
@@ -249,16 +255,28 @@ void Runtime::release_run() {
 
 RunStats Runtime::run(TaskGraph& graph) {
   if (!graph.sealed()) graph.seal(config_.nranks);
+  if (graph.max_rank() >= config_.nranks) {
+    throw std::invalid_argument(
+        "Runtime: graph has a task on rank " +
+        std::to_string(graph.max_rank()) + " but the runtime has nranks " +
+        std::to_string(config_.nranks));
+  }
   graph_ = &graph;
 
+  // Flat task state: one allocation per array, not one per task.
   const std::size_t n = graph.size();
   states_ = std::vector<TaskState>(n);
+  input_base_.resize(n + 1);
+  remaining_ = std::make_unique<std::atomic<int>[]>(n);
+  std::size_t inputs = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& inputs = graph.spec(i).inputs;
-    states_[i].inputs.resize(inputs.size());
-    states_[i].remaining.store(static_cast<int>(inputs.size()),
-                               std::memory_order_relaxed);
+    const std::size_t count = graph.spec(i).inputs.size();
+    input_base_[i] = inputs;
+    remaining_[i].store(static_cast<int>(count), std::memory_order_relaxed);
+    inputs += count;
   }
+  input_base_[n] = inputs;
+  inputs_ = std::make_unique<InputSlot[]>(inputs);
 
   queues_.clear();
   outboxes_.clear();
@@ -622,7 +640,6 @@ void Runtime::execute_task(std::size_t index, int rank, int worker) {
     tracer_.record(std::move(event));
   }
 
-  states_[index].executed.store(true, std::memory_order_release);
   complete_task(index, rank);
 
   worker_tasks_[static_cast<std::size_t>(rank * config_.workers_per_rank +
@@ -644,37 +661,50 @@ void Runtime::execute_task(std::size_t index, int rank, int worker) {
 }
 
 void Runtime::negotiate_routes(const TaskGraph& graph) {
+  // Routed remote flows straight from the sealed consumer edges, then put
+  // back in (consumer, input position) order: the order the builder
+  // declared them, which fixes the negotiated table's order.
+  struct RoutedFlow {
+    std::uint32_t consumer;
+    std::uint16_t input_pos;
+    net::RouteSpec spec;
+  };
+  std::vector<RoutedFlow> flows;
+  for (std::size_t pi = 0; pi < graph.size(); ++pi) {
+    const int src = graph.spec(pi).rank;
+    for (const auto& edge : graph.consumers(pi)) {
+      if (edge.route == 0) continue;
+      const int dst = graph.spec(edge.consumer).rank;
+      if (dst == src) continue;  // local: no wire
+      flows.push_back({edge.consumer, edge.input_pos,
+                       net::RouteSpec{edge.route, src, dst, edge.route_doubles,
+                                      edge.route_fragments}});
+    }
+  }
+  std::sort(flows.begin(), flows.end(),
+            [](const RoutedFlow& a, const RoutedFlow& b) {
+              return a.consumer != b.consumer ? a.consumer < b.consumer
+                                              : a.input_pos < b.input_pos;
+            });
   // A route id is shared by every superstep edge of its (producer tile,
   // slot) stream, so the same id recurs across many consumer tasks —
   // negotiate once per id, rejecting inconsistent redefinitions.
   std::unordered_map<std::uint64_t, net::RouteSpec> by_id;
   std::vector<net::RouteSpec> routes;
-  for (std::size_t ci = 0; ci < graph.size(); ++ci) {
-    const TaskSpec& consumer = graph.spec(ci);
-    for (const auto& flow : consumer.inputs) {
-      if (flow.route == 0) continue;
-      const TaskSpec& producer = graph.spec(graph.index_of(flow.producer));
-      if (producer.rank == consumer.rank) continue;  // local: no wire
-      net::RouteSpec spec;
-      spec.id = flow.route;
-      spec.src = producer.rank;
-      spec.dst = consumer.rank;
-      spec.doubles = flow.route_doubles;
-      spec.fragments = flow.route_fragments;
-      const auto [it, inserted] = by_id.emplace(spec.id, spec);
-      if (!inserted) {
-        const net::RouteSpec& seen = it->second;
-        if (seen.src != spec.src || seen.dst != spec.dst ||
-            seen.doubles != spec.doubles ||
-            seen.fragments != spec.fragments) {
-          throw std::runtime_error(
-              "Runtime: route " + std::to_string(spec.id) +
-              " redefined with a different endpoint or size");
-        }
-        continue;
+  for (const RoutedFlow& flow : flows) {
+    const net::RouteSpec& spec = flow.spec;
+    const auto [it, inserted] = by_id.emplace(spec.id, spec);
+    if (!inserted) {
+      const net::RouteSpec& seen = it->second;
+      if (seen.src != spec.src || seen.dst != spec.dst ||
+          seen.doubles != spec.doubles || seen.fragments != spec.fragments) {
+        throw std::runtime_error(
+            "Runtime: route " + std::to_string(spec.id) +
+            " redefined with a different endpoint or size");
       }
-      routes.push_back(spec);
+      continue;
     }
+    routes.push_back(spec);
   }
   if (!routes.empty()) pchan_->negotiate(routes);
 }
@@ -764,7 +794,9 @@ void Runtime::complete_task(std::size_t index, int rank) {
 
   // Release upstream data and any outputs that have been fanned out; keep
   // zero-consumer outputs for result() inspection.
-  state.inputs.clear();
+  for (std::size_t i = input_base_[index]; i < input_base_[index + 1]; ++i) {
+    inputs_[i].buffer.reset();
+  }
   std::erase_if(state.outputs, [&](const auto& entry) {
     return graph_->slot_fanout(index, entry.first) > 0;
   });
@@ -773,14 +805,20 @@ void Runtime::complete_task(std::size_t index, int rank) {
 void Runtime::deliver_input(std::size_t consumer_index,
                             std::uint16_t input_pos, Buffer buffer,
                             bool remote) {
-  TaskState& state = states_[consumer_index];
-  if (input_pos >= state.inputs.size()) {
+  const std::size_t base = input_base_[consumer_index];
+  if (input_pos >= input_base_[consumer_index + 1] - base) {
     fail("deliver: input position out of range for " +
          graph_->spec(consumer_index).key.to_string());
     return;
   }
-  state.inputs[input_pos] = std::move(buffer);
-  if (state.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+  InputSlot& slot = inputs_[base + input_pos];
+  if (slot.delivered.exchange(true)) {
+    fail("input " + std::to_string(input_pos) + " of " +
+         graph_->spec(consumer_index).key.to_string() + " delivered twice");
+    return;
+  }
+  slot.buffer = std::move(buffer);
+  if (remaining_[consumer_index].fetch_sub(1, std::memory_order_acq_rel) == 1) {
     enqueue_ready(consumer_index, /*halo=*/remote);
   }
 }

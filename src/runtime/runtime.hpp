@@ -200,14 +200,18 @@ class Runtime {
   friend class RuntimeTaskContext;
 
   struct TaskState {
-    std::atomic<int> remaining{0};
-    std::vector<Buffer> inputs;
     std::vector<std::pair<std::uint16_t, Buffer>> outputs;
     /// Slots dispatched eagerly from inside the body (publish_fragments);
     /// complete_task skips them. Body-thread-only, then read by
     /// complete_task on the same thread — no lock needed.
     std::vector<std::uint16_t> eager_slots;
-    std::atomic<bool> executed{false};
+  };
+
+  /// One input flow of one task. `delivered` is claimed by exactly one
+  /// delivery (an atomic exchange); a second delivery fails the run.
+  struct InputSlot {
+    Buffer buffer;
+    std::atomic<bool> delivered{false};
   };
 
   class Outbox {
@@ -283,6 +287,11 @@ class Runtime {
   // Per-run state (valid during/after run()).
   TaskGraph* graph_ = nullptr;
   std::vector<TaskState> states_;
+  /// Flat input state: task i's inputs are inputs_[input_base_[i],
+  /// input_base_[i + 1]), and remaining_[i] counts the undelivered ones.
+  std::vector<std::size_t> input_base_;
+  std::unique_ptr<InputSlot[]> inputs_;
+  std::unique_ptr<std::atomic<int>[]> remaining_;
   std::vector<std::unique_ptr<Scheduler>> queues_;
   std::vector<std::unique_ptr<Outbox>> outboxes_;
   std::shared_ptr<net::Channel> channel_;

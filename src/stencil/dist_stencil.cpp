@@ -32,73 +32,6 @@ constexpr std::uint16_t kSlotCorner(Corner c) {
 /// Variable-coefficient planes, published once per tile by INIT.
 constexpr std::uint16_t kSlotCoeff = 9;
 
-/// Immutable per-run context shared by all task bodies.
-///
-/// Spec-driven problems run in STAGE UNITS: the compiled program's nstages
-/// radius-1 atomic stages replace each original iteration, so the constructor
-/// multiplies both `steps` and `problem.iterations` by nstages and fixes
-/// radius = 1. Every downstream mechanism — superstep gating, ghost depth
-/// radius * steps, the per-step shrink, pack plans, ragged final supersteps —
-/// then works unchanged; only the task bodies know that state buffers carry
-/// ncomp planes and that remote exchanges ship just the nfield field planes
-/// (stage 1 reads only field planes, and intermediates inside the deep ghost
-/// bands are recomputed locally stage by stage — so shipping them would be
-/// pure waste).
-struct Shared {
-  Shared(Problem p, TileMap m, int s, double r, int f)
-      : problem(std::move(p)), map(m), steps(s), ratio(r), fuse(f) {
-    if (problem.shape) {
-      problem.shape->validate();
-      radius = problem.shape->radius;
-      box = problem.shape->box;
-    }
-    if (problem.spec) {
-      program = std::make_shared<const spec::CompiledProgram>(
-          compile_problem_spec(problem));
-      nstages = program->nstages;
-      nfield = program->nfield;
-      radius = 1;  // every atomic stage reads one cell deep
-      box = program->diagonal_taps;
-      steps = s * nstages;
-      problem.iterations *= nstages;
-    }
-    // Fused wavefronts widen the exchange window: `steps` becomes the full
-    // window (fuse supersteps' worth of stage units) so every downstream
-    // mechanism — ghost depth, superstep gating, shrink, pack plans — sees
-    // one exchange per window. hook_period keeps the ORIGINAL superstep
-    // cadence, so checkpoints/snapshots stay every config.steps iterations
-    // regardless of fusing (fuse-ready tile cores are consistent at every
-    // stage boundary; the Temporal path only surfaces window boundaries).
-    hook_period = steps;
-    steps *= fuse;
-  }
-
-  Problem problem;
-  TileMap map;
-  int steps;
-  double ratio;
-  int fuse = 1;         ///< supersteps fused per wavefront window
-  int hook_period = 1;  ///< superstep-hook cadence in stage units
-  int radius = 1;    ///< stencil reach (1 for the paper's 5-point case)
-  bool box = false;  ///< box-shaped stencil (reads diagonals every step)
-  /// Spec path: compiled atomic-stage program (null = classic 5-point/shape).
-  std::shared_ptr<const spec::CompiledProgram> program;
-  int nstages = 1;  ///< stages per original iteration (1 = classic paths)
-  int nfield = 1;   ///< planes remote halo exchange carries
-  SuperstepHook hook;  ///< superstep-boundary snapshot callback (may be empty)
-  KernelVariant kernel = KernelVariant::Scalar;
-  KernelTuning tuning{};
-  /// Temporal variant: one fused task per tile per superstep.
-  bool fused = false;
-  /// Per-step graph emitted in fuse-ready shape (fuse > 1, non-Temporal):
-  /// deep bands on EVERY neighbor side, cross-tile edges only at window
-  /// boundaries — the precondition for rt::fuse_supersteps.
-  bool fuse_ready = false;
-  /// All-neighbor-deep halo layout (Temporal tasks or fuse-ready graphs).
-  bool deep_all() const { return fused || fuse_ready; }
-  std::atomic<long long> computed_points{0};
-};
-
 /// Static per-tile facts derived from the TileMap.
 struct TileInfo {
   int ti = 0, tj = 0;
@@ -172,6 +105,93 @@ TileInfo make_tile_info(const TileMap& map, int steps, int radius, bool box,
     info.corner_local[static_cast<int>(c)] = box && diag_exists && !diag_remote;
   }
   return info;
+}
+
+/// Immutable per-run context shared by all task bodies.
+///
+/// Spec-driven problems run in STAGE UNITS: the compiled program's nstages
+/// radius-1 atomic stages replace each original iteration, so the constructor
+/// multiplies both `steps` and `problem.iterations` by nstages and fixes
+/// radius = 1. Every downstream mechanism — superstep gating, ghost depth
+/// radius * steps, the per-step shrink, pack plans, ragged final supersteps —
+/// then works unchanged; only the task bodies know that state buffers carry
+/// ncomp planes and that remote exchanges ship just the nfield field planes
+/// (stage 1 reads only field planes, and intermediates inside the deep ghost
+/// bands are recomputed locally stage by stage — so shipping them would be
+/// pure waste).
+struct Shared {
+  Shared(Problem p, TileMap m, int s, double r, int f)
+      : problem(std::move(p)), map(m), steps(s), ratio(r), fuse(f) {
+    if (problem.shape) {
+      problem.shape->validate();
+      radius = problem.shape->radius;
+      box = problem.shape->box;
+    }
+    if (problem.spec) {
+      program = std::make_shared<const spec::CompiledProgram>(
+          compile_problem_spec(problem));
+      nstages = program->nstages;
+      nfield = program->nfield;
+      radius = 1;  // every atomic stage reads one cell deep
+      box = program->diagonal_taps;
+      steps = s * nstages;
+      problem.iterations *= nstages;
+    }
+    // Fused wavefronts widen the exchange window: `steps` becomes the full
+    // window (fuse supersteps' worth of stage units) so every downstream
+    // mechanism — ghost depth, superstep gating, shrink, pack plans — sees
+    // one exchange per window. hook_period keeps the ORIGINAL superstep
+    // cadence, so checkpoints/snapshots stay every config.steps iterations
+    // regardless of fusing (fuse-ready tile cores are consistent at every
+    // stage boundary; the Temporal path only surfaces window boundaries).
+    hook_period = steps;
+    steps *= fuse;
+  }
+
+  Problem problem;
+  TileMap map;
+  int steps;
+  double ratio;
+  int fuse = 1;         ///< supersteps fused per wavefront window
+  int hook_period = 1;  ///< superstep-hook cadence in stage units
+  int radius = 1;    ///< stencil reach (1 for the paper's 5-point case)
+  bool box = false;  ///< box-shaped stencil (reads diagonals every step)
+  /// Spec path: compiled atomic-stage program (null = classic 5-point/shape).
+  std::shared_ptr<const spec::CompiledProgram> program;
+  int nstages = 1;  ///< stages per original iteration (1 = classic paths)
+  int nfield = 1;   ///< planes remote halo exchange carries
+  SuperstepHook hook;  ///< superstep-boundary snapshot callback (may be empty)
+  /// Every tile's static facts, row-major; filled once by the Builder, read
+  /// by task bodies for their own and their neighbors' geometry.
+  std::vector<TileInfo> tiles;
+  const TileInfo& tile(int ti, int tj) const {
+    return tiles[static_cast<std::size_t>(ti) * map.tiles_c() + tj];
+  }
+  KernelVariant kernel = KernelVariant::Scalar;
+  KernelTuning tuning{};
+  /// Temporal variant: one fused task per tile per superstep.
+  bool fused = false;
+  /// Per-step graph emitted in fuse-ready shape (fuse > 1, non-Temporal):
+  /// deep bands on EVERY neighbor side, cross-tile edges only at window
+  /// boundaries — the precondition for rt::fuse_supersteps.
+  bool fuse_ready = false;
+  /// All-neighbor-deep halo layout (Temporal tasks or fuse-ready graphs).
+  bool deep_all() const { return fused || fuse_ready; }
+  std::atomic<long long> computed_points{0};
+};
+
+/// Exact input count of a tile's step task (the inputs make_step_task and
+/// make_fused_step_task declare): own state, local lines and corners, then
+/// at superstep starts the deep bands and corner blocks, then coefficients.
+std::size_t step_inputs(const TileInfo& info, bool start, bool variable) {
+  std::size_t n = variable ? 2 : 1;
+  for (int i = 0; i < 4; ++i) {
+    n += static_cast<std::size_t>(info.side_local[i]) + info.corner_local[i];
+    if (start) {
+      n += static_cast<std::size_t>(info.side_deep[i]) + info.corner_in[i];
+    }
+  }
+  return n;
 }
 
 /// Hand the tile's h x w core (row-major) to the superstep hook. Spec runs
@@ -290,12 +310,13 @@ class Builder {
       throw std::invalid_argument("kernel_ratio must be in (0, 1]");
     }
     const TileMap& map = shared_->map;
-    tiles_.reserve(static_cast<std::size_t>(map.tiles_r()) * map.tiles_c());
+    auto& tiles = shared_->tiles;
+    tiles.reserve(static_cast<std::size_t>(map.tiles_r()) * map.tiles_c());
     for (int ti = 0; ti < map.tiles_r(); ++ti) {
       for (int tj = 0; tj < map.tiles_c(); ++tj) {
-        tiles_.push_back(make_tile_info(map, shared_->steps, shared_->radius,
-                                        shared_->box, shared_->deep_all(), ti,
-                                        tj));
+        tiles.push_back(make_tile_info(map, shared_->steps, shared_->radius,
+                                       shared_->box, shared_->deep_all(), ti,
+                                       tj));
       }
     }
   }
@@ -303,9 +324,7 @@ class Builder {
   const TileMap& map() const { return shared_->map; }
   std::shared_ptr<Shared> shared() const { return shared_; }
 
-  const TileInfo& tile(int ti, int tj) const {
-    return tiles_[static_cast<std::size_t>(ti) * shared_->map.tiles_c() + tj];
-  }
+  const TileInfo& tile(int ti, int tj) const { return shared_->tile(ti, tj); }
 
   void build(rt::TaskGraph& graph) {
     const TileMap& map = shared_->map;
@@ -456,11 +475,12 @@ class Builder {
     spec.klass = "init";
 
     auto shared = shared_;
-    const TileInfo tile_info = info;
+    const TileInfo* tile = &shared_->tile(info.ti, info.tj);
     const PackPlan plan = pack_plan(info, 0);
     spec.priority = task_priority(info.boundary, plan) + priority_bias_;
     const int depth = shared_->radius * shared_->steps;
-    spec.body = [shared, tile_info, plan, depth](rt::TaskContext& ctx) {
+    spec.body = [shared, tile, plan, depth](rt::TaskContext& ctx) {
+      const TileInfo& tile_info = *tile;
       const TileGeom& g = tile_info.geom;
       const TileMap& map = shared->map;
       const long gr0 = map.row0(tile_info.ti);
@@ -538,10 +558,12 @@ class Builder {
     spec.chain_step = k;
 
     const bool start = superstep_start(k);
+    const bool variable = static_cast<bool>(shared_->problem.coefficient);
 
     // Input order: own prev state; local neighbor states (N,S,W,E); then at
     // superstep starts, remote bands (N,S,W,E) and remote corners
     // (NW,NE,SW,SE). Body indexes inputs in exactly this order.
+    spec.inputs.reserve(step_inputs(info, start, variable));
     spec.inputs.push_back({state_key(k - 1, info.ti, info.tj),
                            kSlotState});
     for (Side s : kAllSides) {
@@ -589,7 +611,6 @@ class Builder {
         }
       }
     }
-    const bool variable = static_cast<bool>(shared_->problem.coefficient);
     if (variable) {
       // The tile's coefficient planes, published once by INIT; always the
       // last input so the earlier positional indexing is undisturbed.
@@ -597,10 +618,11 @@ class Builder {
     }
 
     auto shared = shared_;
-    const TileInfo tile_info = info;
+    const TileInfo* tile = &shared_->tile(info.ti, info.tj);
     const PackPlan plan = pack_plan(info, k);
-    spec.body = [shared, tile_info, plan, k, start,
+    spec.body = [shared, tile, plan, k, start,
                  variable](rt::TaskContext& ctx) {
+      const TileInfo& tile_info = *tile;
       const TileGeom& g = tile_info.geom;
       const int steps = shared->steps;
 
@@ -619,7 +641,8 @@ class Builder {
       std::size_t next_input = 1;
       for (Side s : kAllSides) {
         if (!tile_info.side_local[static_cast<int>(s)]) continue;
-        const TileInfo nbr = make_nbr_info(*shared, tile_info, s);
+        const TileInfo& nbr =
+            shared->tile(tile_info.ti + d_ti(s), tile_info.tj + d_tj(s));
         copy_local_line_planes(assembled.data(), g, s,
                                ctx.input(next_input).data(), nbr.geom, radius,
                                ncomp);
@@ -627,7 +650,8 @@ class Builder {
       }
       for (Corner c : kAllCorners) {
         if (!tile_info.corner_local[static_cast<int>(c)]) continue;
-        const TileInfo diag = make_diag_info(*shared, tile_info, c);
+        const TileInfo& diag =
+            shared->tile(tile_info.ti + d_ti(c), tile_info.tj + d_tj(c));
         copy_local_corner_planes(assembled.data(), g, c,
                                  ctx.input(next_input).data(), diag.geom,
                                  ncomp);
@@ -739,6 +763,7 @@ class Builder {
 
     // Input order: own previous-boundary state; neighbor bands (N,S,W,E);
     // corner blocks (NW,NE,SW,SE). Body indexes inputs in exactly this order.
+    spec.inputs.reserve(step_inputs(info, /*start=*/true, /*variable=*/false));
     spec.inputs.push_back({state_key(k_start - 1, info.ti, info.tj),
                            kSlotState});
     for (Side s : kAllSides) {
@@ -770,9 +795,10 @@ class Builder {
     }
 
     auto shared = shared_;
-    const TileInfo tile_info = info;
+    const TileInfo* tile = &shared_->tile(info.ti, info.tj);
     const PackPlan plan = pack_plan(info, k_end);
-    spec.body = [shared, tile_info, plan, k_end, m](rt::TaskContext& ctx) {
+    spec.body = [shared, tile, plan, k_end, m](rt::TaskContext& ctx) {
+      const TileInfo& tile_info = *tile;
       const TileGeom& g = tile_info.geom;
       const int radius = shared->radius;  // always 1 on this path
       const int depth = radius * shared->steps;
@@ -827,29 +853,12 @@ class Builder {
     return spec;
   }
 
-  /// Geometry of the neighbor on `side` (for local line copies).
-  static TileInfo make_nbr_info(const Shared& shared, const TileInfo& info,
-                                Side s) {
-    return make_tile_info(shared.map, shared.steps, shared.radius, shared.box,
-                          shared.deep_all(), info.ti + d_ti(s),
-                          info.tj + d_tj(s));
-  }
-
-  /// Geometry of the diagonal neighbor at `corner` (for box local corners).
-  static TileInfo make_diag_info(const Shared& shared, const TileInfo& info,
-                                 Corner c) {
-    return make_tile_info(shared.map, shared.steps, shared.radius, shared.box,
-                          shared.deep_all(), info.ti + d_ti(c),
-                          info.tj + d_tj(c));
-  }
-
   std::shared_ptr<Shared> shared_;
   std::uint32_t type_base_ = 0;
   std::uint32_t key_space_ = 0;
   int priority_bias_ = 0;
   int lane_ = -1;
   bool persistent_ = false;
-  std::vector<TileInfo> tiles_;
 };
 
 }  // namespace

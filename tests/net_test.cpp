@@ -370,8 +370,9 @@ TEST(Transport, DestinationLabelCardinalityIsCapped) {
   }
 
   // Capped destinations alias the overflow series...
-  const auto* overflow = metrics->snapshot().find_counter(
-      "net_messages_total", {{"dst", "overflow"}});
+  const auto snapshot = metrics->snapshot();
+  const auto* overflow =
+      snapshot.find_counter("net_messages_total", {{"dst", "overflow"}});
   ASSERT_NE(overflow, nullptr);
   EXPECT_EQ(overflow->value, 8u);
 

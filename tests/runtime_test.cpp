@@ -148,6 +148,115 @@ TEST(TaskGraph, TakeSpecsEmptiesTheGraphForARebuild) {
   EXPECT_THROW(graph.take_specs(), std::logic_error);
 }
 
+/// A task with no inputs and an empty body, for key-index tests.
+TaskSpec bare_task(const TaskKey& k) {
+  TaskSpec spec;
+  spec.key = k;
+  spec.body = [](TaskContext&) {};
+  return spec;
+}
+
+TEST(TaskGraph, HundredThousandKeysStayFindableAcrossRehashes) {
+  // Spread over every key field, negatives included. Right after each
+  // power-of-two size (where the index has just grown) every key added so
+  // far must still resolve to its insertion index.
+  const auto key_of = [](int i) {
+    return key(static_cast<std::uint32_t>(i % 7), i / 7 % 100, i / 700, -i);
+  };
+  constexpr int kTasks = 100000;
+  TaskGraph graph;
+  for (int i = 0; i < kTasks; ++i) {
+    graph.add_task(bare_task(key_of(i)));
+    if ((i & (i + 1)) == 0) {
+      for (int j = 0; j <= i; ++j) {
+        ASSERT_EQ(graph.find(key_of(j)), static_cast<std::size_t>(j));
+      }
+    }
+  }
+  ASSERT_EQ(graph.size(), static_cast<std::size_t>(kTasks));
+  for (int j = 0; j < kTasks; ++j) {
+    ASSERT_EQ(graph.index_of(key_of(j)), static_cast<std::size_t>(j));
+  }
+  EXPECT_FALSE(graph.contains(key(7, 0, 0, 0)));
+  EXPECT_FALSE(graph.contains(key(0, 0, 0, 1)));
+  EXPECT_NO_THROW(graph.seal(1));
+}
+
+TEST(TaskGraph, KeysSharingOneProbeChainStayDistinct) {
+  // Keys whose hashes agree in their low 16 bits share the home position of
+  // any index up to 65536 positions, so they all sit in one probe chain.
+  const TaskKeyHash hash;
+  const std::size_t home = hash(key(5)) & 0xffffu;
+  std::vector<TaskKey> chain;
+  int a = 0;
+  for (; chain.size() < 12; ++a) {
+    if ((hash(key(5, a)) & 0xffffu) == home) chain.push_back(key(5, a));
+  }
+  TaskKey absent;
+  for (;; ++a) {
+    if ((hash(key(5, a)) & 0xffffu) == home) {
+      absent = key(5, a);
+      break;
+    }
+  }
+
+  TaskGraph graph;
+  for (const TaskKey& k : chain) graph.add_task(bare_task(k));
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    EXPECT_EQ(graph.find(chain[i]), i);
+  }
+  EXPECT_EQ(graph.find(absent), TaskGraph::npos);
+  EXPECT_THROW(graph.add_task(bare_task(chain[6])), std::invalid_argument);
+  EXPECT_THROW(graph.add_task(bare_task(chain.back())), std::invalid_argument);
+  EXPECT_EQ(graph.size(), chain.size());
+
+  // Refilled in reverse, the same chain resolves to the new indices.
+  std::vector<TaskSpec> specs = graph.take_specs();
+  for (const TaskKey& k : chain) EXPECT_FALSE(graph.contains(k));
+  for (auto it = specs.rbegin(); it != specs.rend(); ++it) {
+    graph.add_task(std::move(*it));
+  }
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    EXPECT_EQ(graph.find(chain[i]), chain.size() - 1 - i);
+  }
+  EXPECT_EQ(graph.find(absent), TaskGraph::npos);
+}
+
+TEST(TaskGraph, DuplicateIsRejectedAfterRehash) {
+  TaskGraph graph;
+  for (int i = 0; i < 1000; ++i) graph.add_task(bare_task(key(3, i)));
+  for (const int i : {0, 1, 511, 999}) {
+    EXPECT_THROW(graph.add_task(bare_task(key(3, i))), std::invalid_argument);
+  }
+  EXPECT_EQ(graph.size(), 1000u);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(graph.find(key(3, i)), static_cast<std::size_t>(i));
+  }
+}
+
+TEST(TaskGraph, FindAndAddTaskWorkAfterTakeSpecs) {
+  TaskGraph graph;
+  for (int i = 0; i < 5000; ++i) graph.add_task(bare_task(key(4, i)));
+  std::vector<TaskSpec> specs = graph.take_specs();
+  ASSERT_EQ(specs.size(), 5000u);
+  for (int i = 0; i < 5000; ++i) EXPECT_FALSE(graph.contains(key(4, i)));
+
+  // Keep the odd keys, add new ones in between: indices follow the refill.
+  std::size_t next = 0;
+  for (int i = 1; i < 5000; i += 2) {
+    graph.add_task(std::move(specs[static_cast<std::size_t>(i)]));
+    graph.add_task(bare_task(key(6, i)));
+    EXPECT_EQ(graph.find(key(4, i)), next);
+    EXPECT_EQ(graph.find(key(6, i)), next + 1);
+    next += 2;
+  }
+  EXPECT_EQ(graph.find(key(4, 0)), TaskGraph::npos);
+  EXPECT_THROW(graph.add_task(bare_task(key(4, 1))), std::invalid_argument);
+  EXPECT_NO_THROW(graph.add_task(bare_task(key(4, 0))));
+  EXPECT_EQ(graph.size(), 5001u);
+  EXPECT_NO_THROW(graph.seal(1));
+}
+
 // Build a chain: source publishes {1,2,3}; each stage adds 1 to every
 // element; verify the final buffer. Stages alternate ranks to exercise remote
 // messaging.
@@ -540,6 +649,37 @@ TEST(Runtime, TraceRecordsEveryTaskWithSaneTimestamps) {
   EXPECT_EQ(report.count_by_klass.at("odd"), 2u);
   EXPECT_GE(report.span_s, 0.0);
 #endif
+}
+
+TEST(Runtime, GraphSealedForMoreRanksThanTheRuntimeIsRejected) {
+  // Sealed for 4 ranks with a task on rank 3: a 2-rank runtime must refuse
+  // it by name instead of indexing its per-rank state out of bounds.
+  TaskGraph graph;
+  TaskSpec high = bare_task(key(1));
+  high.rank = 3;
+  graph.add_task(high);
+  graph.seal(4);
+  EXPECT_EQ(graph.max_rank(), 3);
+  Runtime runtime(Config{2, 1});
+  try {
+    runtime.run(graph);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("nranks 2"), std::string::npos) << what;
+  }
+
+  // Sealed for 4 ranks, but every task fits on 2: runs.
+  TaskGraph low;
+  TaskSpec task = bare_task(key(1));
+  task.rank = 1;
+  task.body = [](TaskContext& ctx) { ctx.publish(0, {4.0}); };
+  low.add_task(task);
+  low.seal(4);
+  EXPECT_EQ(low.max_rank(), 1);
+  runtime.run(low);
+  EXPECT_EQ(*runtime.result(key(1), 0), std::vector<double>{4.0});
 }
 
 TEST(Runtime, EmptyGraphCompletesImmediately) {
