@@ -132,8 +132,7 @@ int main(int argc, char** argv) {
   // --kernel= selects the compute-kernel variant for the task-runtime rows
   // (scalar reproduces the paper's unoptimized kernel; see kernel_opt.hpp).
   const stencil::KernelVariant host_kernel = stencil::parse_kernel_variant(
-      options.get_choice("kernel", "scalar",
-                         {"scalar", "vector", "blocked", "temporal"}));
+      options.get_choice("kernel", "scalar", {"scalar", "vector", "blocked"}));
   report.set_param("kernel",
                    obs::Json(stencil::kernel_variant_name(host_kernel)));
   // --sched= selects the ready-queue discipline for the task-runtime rows
@@ -187,8 +186,8 @@ int main(int argc, char** argv) {
       {"CA taskrt (s=4)", "ca_taskrt", "ca", 4, 1},
   };
   if (fuse > 1) {
-    // The fused-wavefront real run: the temporal kernel stays off (fusing is
-    // the graph rewrite, not a kernel), so it composes with --kernel/--sched.
+    // The fused-wavefront real run: fusing is the graph rewrite, not a
+    // kernel, so it composes with --kernel/--sched.
     host_cases.push_back(
         {"CA+fused taskrt", "ca_fused_taskrt", "ca_fused", 4, fuse});
   }

@@ -8,7 +8,8 @@
 //
 // --measured mode: the same base-vs-CA comparison executed FOR REAL on this
 // host, with the kernel-time knob replaced by actual kernels from
-// kernel_opt.hpp — scalar vs SIMD/blocked vs fused-temporal. The measured
+// kernel_opt.hpp — scalar vs SIMD/blocked — plus the fused-wavefront
+// rewrite (rt::fuse_supersteps, one task per tile per window). The measured
 // per-point speedup of the optimized kernel plays the role of the paper's
 // ratio, and every run is checked bit-for-bit against the serial reference
 // (unlike ratio < 1 runs, which are timing-only). "time ms" is
@@ -76,9 +77,9 @@ int run_measured(const Options& options) {
   const int steps = static_cast<int>(options.get_int("steps", 8));
   // --fuse=F adds a "CA / fused-wavefront" case: the per-step graph rewritten
   // by rt::fuse_supersteps into windows of steps*F iterations per exchange
-  // (same wire traffic as steps*F supersteps, no special kernel needed, and
-  // unlike the temporal kernel it composes with the optimized kernel, specs,
-  // and every scheduler). --fuse=1 drops the case.
+  // (same wire traffic as steps*F supersteps, no special kernel needed; it
+  // composes with the optimized kernel, specs, and every scheduler).
+  // --fuse=1 drops the case.
   const int fuse = static_cast<int>(options.get_int("fuse", 3));
   const int reps = static_cast<int>(options.get_int("reps", 5));
   const KernelVariant opt_variant = stencil::parse_kernel_variant(
@@ -92,8 +93,7 @@ int run_measured(const Options& options) {
   // --stencil= reruns the comparison over any named spec. star5 (default)
   // keeps the classic hard-wired 5-point path so the default run stays
   // byte-identical to the pre-spec bench; other specs run the compiled
-  // atomic-stage program (and drop the fused-temporal case, which the
-  // spec path does not support).
+  // atomic-stage program.
   const std::string stencil_name =
       options.get_choice("stencil", "star5", spec::spec_names());
   const bool spec_path = stencil_name != "star5";
@@ -142,15 +142,10 @@ int run_measured(const Options& options) {
       {"CA / scalar", steps, KernelVariant::Scalar},
       {"CA / optimized", steps, opt_variant},
   };
-  std::size_t temporal_idx = 0, fused_wave_idx = 0;
-  if (!spec_path) {
-    temporal_idx = cases.size();
-    cases.push_back({"CA / temporal (fused)", steps, KernelVariant::Temporal});
-  }
+  std::size_t fused_wave_idx = 0;
   if (fuse > 1) {
-    // The graph-rewrite analogue of the temporal kernel, but generic: the
-    // fuse-ready builder already deepens ghosts for steps*fuse iterations
-    // and rt::fuse_supersteps collapses each tile's window into one task.
+    // The fuse-ready builder deepens ghosts for steps*fuse iterations and
+    // rt::fuse_supersteps collapses each tile's window into one task.
     fused_wave_idx = cases.size();
     cases.push_back({"CA / fused-wavefront", steps, opt_variant, fuse});
   }
@@ -235,13 +230,6 @@ int run_measured(const Options& options) {
             << "CA gain with optimized kernel: " << ca_gain_opt_pct << "%\n";
   report.set_derived("ca_gain_scalar_pct", obs::Json(ca_gain_scalar_pct));
   report.set_derived("ca_gain_opt_pct", obs::Json(ca_gain_opt_pct));
-  if (temporal_idx != 0) {
-    const double ca_gain_fused_pct =
-        100.0 * (gflops[temporal_idx] / gflops[1] - 1.0);
-    std::cout << "CA gain with fused temporal:   " << ca_gain_fused_pct
-              << "%\n";
-    report.set_derived("ca_gain_fused_pct", obs::Json(ca_gain_fused_pct));
-  }
   double fused_wave_gain_pct = 0.0;
   if (fused_wave_idx != 0) {
     fused_wave_gain_pct = 100.0 * (gflops[fused_wave_idx] / gflops[1] - 1.0);

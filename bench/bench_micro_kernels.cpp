@@ -12,7 +12,6 @@
 //   * building, sealing and freeing the latency-bound solve's task graph
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <chrono>
 #include <memory>
 
@@ -81,38 +80,6 @@ void BM_Jacobi5Opt(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Jacobi5Opt)->ArgsProduct({{0, 1, 2}, {64, 288, 1024}});
-
-void BM_Jacobi5Temporal(benchmark::State& state) {
-  // Fused supersteps on one CA-style deep-ghost tile: m steps per sweep over
-  // a shrinking region (all four sides deep), the shared-memory analogue of
-  // PA1. points/s counts every redundant update, so the win over m separate
-  // BM_Jacobi5DeepGhost-style sweeps is pure locality, not less work.
-  const int tile = 288;
-  const int m = static_cast<int>(state.range(0));
-  const TileGeom g{tile, tile, m, m, m, m};
-  std::vector<double> in(g.size(), 1.0);
-  std::vector<double> out(g.size(), 0.0);
-  const Stencil5 w = Stencil5::laplace_jacobi();
-  const std::array<bool, 4> shrink{true, true, true, true};
-  for (auto _ : state) {
-    jacobi5_temporal(in.data(), out.data(), g, w, -(m - 1), tile + m - 1,
-                     -(m - 1), tile + m - 1, m, shrink);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  double points = 0.0;
-  for (int t = 0; t < m; ++t) {
-    const double extent = tile + 2.0 * (m - 1 - t);
-    points += extent * extent;
-  }
-  state.counters["points/s"] = benchmark::Counter(
-      points * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      points * kFlopsPerPoint * static_cast<double>(state.iterations()) / 1e9,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_Jacobi5Temporal)->Arg(1)->Arg(4)->Arg(15);
 
 void BM_Jacobi5DeepGhost(benchmark::State& state) {
   // The CA variant's extended-region update: tile 288 with 15-deep ghosts,

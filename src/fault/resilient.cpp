@@ -33,6 +33,13 @@ ResilientResult run_resilient(const Problem& problem,
       config.retain_supersteps < 1) {
     throw std::invalid_argument("run_resilient: bad config");
   }
+  if (problem.spec) {
+    // Windows restart through Problem::initial; a spec problem samples
+    // initial3, derives its exterior partials from the original field and
+    // may carry nz planes, so a Grid2D snapshot cannot restart it.
+    throw std::invalid_argument(
+        "run_resilient: spec problems cannot restart from a Grid2D snapshot");
+  }
   const int steps = std::max(1, config.dist.steps);
   const int window_iters = config.checkpoint_supersteps * steps;
 

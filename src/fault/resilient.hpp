@@ -48,7 +48,9 @@ struct ResilientResult {
 };
 
 /// Run the CA stencil to completion despite channel failures. Throws the last
-/// window's error once `max_attempts` consecutive attempts fail.
+/// window's error once `max_attempts` consecutive attempts fail, and
+/// std::invalid_argument for spec problems (a Grid2D snapshot cannot restart
+/// them).
 ResilientResult run_resilient(const stencil::Problem& problem,
                               const ResilientConfig& config);
 

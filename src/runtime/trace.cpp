@@ -159,6 +159,12 @@ const char* kind_name(TraceEventKind kind) {
   return "?";
 }
 
+/// The one header write_trace_csv emits and read_trace_csv accepts.
+constexpr const char* kTraceCsvHeader =
+    "rank,worker,klass,key,begin_s,end_s,duration_s,kind,victim,peer,flow,"
+    "bytes,queued_s,wire_s,retransmits,deps";
+constexpr std::size_t kTraceCsvColumns = 16;
+
 TraceEventKind parse_kind(const std::string& name) {
   if (name == "task") return TraceEventKind::Task;
   if (name == "steal") return TraceEventKind::Steal;
@@ -176,8 +182,7 @@ void write_trace_csv(const std::vector<TraceEvent>& events, std::ostream& os) {
   const auto flags = os.flags();
   const auto precision = os.precision();
   os.precision(std::numeric_limits<double>::max_digits10);
-  os << "rank,worker,klass,key,begin_s,end_s,duration_s,kind,victim,"
-        "peer,flow,bytes,queued_s,wire_s,retransmits,deps\n";
+  os << kTraceCsvHeader << '\n';
   for (const auto& e : events) {
     os << e.rank << ',' << e.worker << ',' << e.klass << ",\""
        << e.key.to_string() << "\"," << e.begin_s << ',' << e.end_s << ','
@@ -250,10 +255,7 @@ std::vector<TaskKey> parse_deps(const std::string& text) {
 std::vector<TraceEvent> read_trace_csv(std::istream& is) {
   std::string line;
   if (!std::getline(is, line)) return {};
-  const auto header = split_csv_line(line);
-  const bool has_kind = header.size() >= 9;
-  const bool has_causal = header.size() >= 16;
-  if (header.size() != 7 && header.size() != 9 && header.size() != 16) {
+  if (line != kTraceCsvHeader) {
     throw std::runtime_error("read_trace_csv: unrecognized header '" + line +
                              "'");
   }
@@ -261,14 +263,8 @@ std::vector<TraceEvent> read_trace_csv(std::istream& is) {
   std::vector<TraceEvent> events;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
-    auto fields = split_csv_line(line);
-    if (!has_kind && fields.size() == 9) {
-      // The legacy writer did not quote the key, so "t3(4,5,6)" spans three
-      // fields; re-join them before shape-checking the row.
-      fields[3] += "," + fields[4] + "," + fields[5];
-      fields.erase(fields.begin() + 4, fields.begin() + 6);
-    }
-    if (fields.size() != header.size()) {
+    const auto fields = split_csv_line(line);
+    if (fields.size() != kTraceCsvColumns) {
       throw std::runtime_error("read_trace_csv: bad row '" + line + "'");
     }
     TraceEvent e;
@@ -278,19 +274,15 @@ std::vector<TraceEvent> read_trace_csv(std::istream& is) {
     e.key = parse_task_key(fields[3]);
     e.begin_s = std::stod(fields[4]);
     e.end_s = std::stod(fields[5]);
-    if (has_kind) {
-      e.kind = parse_kind(fields[7]);
-      e.steal_victim = std::stoi(fields[8]);
-    }
-    if (has_causal) {
-      e.peer = std::stoi(fields[9]);
-      e.flow = std::stoull(fields[10]);
-      e.bytes = std::stoull(fields[11]);
-      e.queued_s = std::stod(fields[12]);
-      e.wire_s = std::stod(fields[13]);
-      e.retransmits = static_cast<std::uint32_t>(std::stoul(fields[14]));
-      e.deps = parse_deps(fields[15]);
-    }
+    e.kind = parse_kind(fields[7]);
+    e.steal_victim = std::stoi(fields[8]);
+    e.peer = std::stoi(fields[9]);
+    e.flow = std::stoull(fields[10]);
+    e.bytes = std::stoull(fields[11]);
+    e.queued_s = std::stod(fields[12]);
+    e.wire_s = std::stod(fields[13]);
+    e.retransmits = static_cast<std::uint32_t>(std::stoul(fields[14]));
+    e.deps = parse_deps(fields[15]);
     events.push_back(std::move(e));
   }
   return events;

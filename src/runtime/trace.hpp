@@ -167,10 +167,9 @@ TraceReport analyze_trace(const std::vector<TraceEvent>& events,
 /// task|steal|send|recv|idle.
 void write_trace_csv(const std::vector<TraceEvent>& events, std::ostream& os);
 
-/// Parse a stream produced by write_trace_csv back into events. Also accepts
-/// the two legacy headers: 7 columns (pre-steal; kind defaults to Task) and
-/// 9 columns (pre-causal; message fields default to zero). Throws
-/// std::runtime_error on malformed input.
+/// Parse a stream produced by write_trace_csv back into events. Only that
+/// 16-column header is accepted; throws std::runtime_error on any other
+/// header and on malformed input.
 std::vector<TraceEvent> read_trace_csv(std::istream& is);
 
 /// Export in Chrome tracing format (chrome://tracing, Perfetto): one

@@ -24,6 +24,23 @@ struct PreemptSignal : std::runtime_error {
   PreemptSignal() : std::runtime_error("serve: preempted at superstep") {}
 };
 
+stencil::DistConfig make_dist_config(const SolveRequest& req, int node_rows,
+                                     int node_cols, std::uint32_t key_space,
+                                     int lane, bool persistent) {
+  stencil::DistConfig cfg;
+  cfg.decomp = {req.mb, req.nb, node_rows, node_cols};
+  cfg.steps = req.steps;
+  cfg.fuse_depth = req.fuse_depth;
+  cfg.kernel = req.kernel;
+  cfg.key_space = key_space;
+  cfg.lane = lane;
+  cfg.persistent = persistent;
+  // Per-job task priorities span 0..2; a bias of 3 lifts every task of a
+  // deadline job above every task of a best-effort one.
+  cfg.priority_bias = req.deadline_s > 0 ? 3 : 0;
+  return cfg;
+}
+
 std::shared_ptr<Grid2D> copy_grid(const Grid2D& src,
                                   const stencil::Problem& problem) {
   auto dst = std::make_shared<Grid2D>(src.rows(), src.cols());
@@ -131,28 +148,22 @@ SolverFarm::~SolverFarm() {
 
 RejectReason SolverFarm::validate(const SolveRequest& request) const {
   const stencil::Problem& p = request.problem;
-  if (p.rows < 1 || p.cols < 1 || p.iterations < 1) {
+  // The farm's own policy: a job must do work, and a windowed job restarts
+  // each window from a Grid2D snapshot through Problem::initial, which spec
+  // problems do not read (they sample initial3; multi-stage specs derive
+  // their exterior partials from the original field and rank-3 specs carry
+  // nz planes). So spec jobs must stay below the windowing threshold.
+  if (p.iterations < 1) return RejectReason::BadRequest;
+  if (p.spec && request_cost(request) >= config_.preempt_cost_threshold) {
     return RejectReason::BadRequest;
   }
-  if (request.mb < 1 || request.nb < 1 || request.steps < 1 ||
-      request.fuse_depth < 1) {
-    return RejectReason::BadRequest;
-  }
-  if (p.shape && p.coefficient) return RejectReason::BadRequest;
-  if (request.kernel == stencil::KernelVariant::Temporal &&
-      (p.shape || p.coefficient)) {
-    return RejectReason::BadRequest;
-  }
+  // Everything else is the builder's own check, run on the config this job
+  // would be built with.
   try {
-    if (p.shape) p.shape->validate();
-    const stencil::TileMap map(p.rows, p.cols, request.mb, request.nb,
-                               config_.node_rows, config_.node_cols);
-    const int radius = p.shape ? p.shape->radius : 1;
-    // The fused window multiplies the ghost depth; mirror the builder's
-    // radius * steps * fuse bound so a doomed request is rejected up front.
-    if (radius * request.steps * request.fuse_depth > map.min_tile_extent()) {
-      return RejectReason::BadRequest;
-    }
+    stencil::validate_solve(
+        p, make_dist_config(request, config_.node_rows, config_.node_cols,
+                            /*key_space=*/0, /*lane=*/-1,
+                            config_.persistent));
   } catch (const std::exception&) {
     return RejectReason::BadRequest;
   }
@@ -287,27 +298,6 @@ void SolverFarm::dispatcher_loop() {
   }
   for (const JobPtr& job : leftovers) cancel(job);
 }
-
-namespace {
-
-stencil::DistConfig make_dist_config(const SolveRequest& req, int node_rows,
-                                     int node_cols, std::uint32_t key_space,
-                                     int lane, bool persistent) {
-  stencil::DistConfig cfg;
-  cfg.decomp = {req.mb, req.nb, node_rows, node_cols};
-  cfg.steps = req.steps;
-  cfg.fuse_depth = req.fuse_depth;
-  cfg.kernel = req.kernel;
-  cfg.key_space = key_space;
-  cfg.lane = lane;
-  cfg.persistent = persistent;
-  // Per-job task priorities span 0..2; a bias of 3 lifts every task of a
-  // deadline job above every task of a best-effort one.
-  cfg.priority_bias = req.deadline_s > 0 ? 3 : 0;
-  return cfg;
-}
-
-}  // namespace
 
 void SolverFarm::run_batch(std::vector<JobPtr>& wave) {
   rt::TaskGraph graph;

@@ -61,11 +61,10 @@ struct DistConfig {
   /// per-step task chains so each window of steps * f stage-steps runs
   /// cache-resident inside one task. Remote halo exchanges collapse to one
   /// per f supersteps (deeper bands, more redundant recompute — the CA
-  /// trade, taken f times further). Composes with every kernel variant
-  /// (Temporal deepens its in-kernel window instead of rewriting), specs,
-  /// schedulers, persistent channels, and the fault stack; results stay
-  /// bit-identical to the serial reference. Requires kernel_ratio == 1 and
-  /// radius * steps * f (stage units) within the smallest tile extent.
+  /// trade, taken f times further). Composes with every kernel variant,
+  /// specs, schedulers, persistent channels, and the fault stack; results
+  /// stay bit-identical to the serial reference. Requires kernel_ratio == 1
+  /// and radius * steps * f (stage units) within the smallest tile extent.
   int fuse_depth = 1;
   double kernel_ratio = 1.0;  ///< <1 = simulated faster kernel (timing only)
   int workers_per_rank = 1;
@@ -75,15 +74,10 @@ struct DistConfig {
   /// Per-destination-node message aggregation (see rt::Config).
   bool aggregate_messages = false;
   /// Compute-kernel variant for the constant-coefficient 5-point path
-  /// (shape/coefficient problems always use their dedicated kernels).
-  /// Scalar/Vector/Blocked only change the inner sweep — the task graph is
-  /// unchanged and results stay bit-identical to the serial reference.
-  /// Temporal additionally FUSES each superstep into one task per tile:
-  /// every neighbor side carries a steps-deep ghost band (local neighbors
-  /// included, since there is no per-inner-step exchange to refresh them)
-  /// and jacobi5_temporal advances all inner steps in-task. Temporal
-  /// requires the plain constant-coefficient problem (no shape, no variable
-  /// coefficients) and kernel_ratio == 1.
+  /// (shape/coefficient problems always use their dedicated kernels). A
+  /// variant only changes the inner sweep — the task graph is unchanged and
+  /// results stay bit-identical to the serial reference. Running several
+  /// steps per task is fuse_depth's job, not the kernel's.
   KernelVariant kernel = KernelVariant::Scalar;
   /// Blocking and SIMD-dispatch tuning for the optimized variants.
   KernelTuning tuning{};
@@ -170,8 +164,16 @@ struct DistResult {
   }
 };
 
-/// Run the distributed solver. Validates that `steps` fits the decomposition
-/// (1 <= steps <= smallest tile extent) and that tile/node grids are sound.
+/// Throws std::invalid_argument unless the builder can run `problem` under
+/// `config`: a sound tile/node grid, steps and fuse_depth >= 1, radius *
+/// steps * fuse_depth (stage units for specs) within the smallest tile
+/// extent, a legal kernel_ratio, a valid shape/spec and an in-range
+/// key_space. add_solve_subgraph and run_distributed run exactly these
+/// checks; callers such as the solver farm use it to reject a request
+/// before building anything.
+void validate_solve(const Problem& problem, const DistConfig& config);
+
+/// Run the distributed solver. Validates the config as validate_solve does.
 DistResult run_distributed(const Problem& problem, const DistConfig& config);
 
 /// Handle to one solve compiled into a (possibly shared) TaskGraph by
@@ -200,8 +202,7 @@ class SolveSubgraph {
   /// requested a fused wavefront on a per-step path (the emitted graph is
   /// fuse-ready but NOT yet fused — the caller owning the TaskGraph applies
   /// the rewrite, since a shared multi-solve graph can only be fused at one
-  /// global depth). 1 = run the graph as built (classic, or Temporal whose
-  /// windows are already intra-task).
+  /// global depth). 1 = run the graph as built.
   int fuse_window() const;
 
   struct Impl;
@@ -215,10 +216,11 @@ class SolveSubgraph {
 
 /// Compile one solve into `graph` (the multi-tenant entry point: the serve
 /// layer batches several solves — distinct key_space values — into one graph
-/// and runs them on a resident runtime). Performs the same validation as
-/// run_distributed. The runtime-level DistConfig knobs (workers, scheduler,
-/// channel_factory, ...) are ignored here; only the decomposition, CA steps,
-/// kernel, hook, key_space, priority_bias, and lane matter.
+/// and runs them on a resident runtime). Validates the config as
+/// validate_solve does. The runtime-level DistConfig knobs (workers,
+/// scheduler, channel_factory, ...) are ignored here; only the
+/// decomposition, CA steps, kernel, hook, key_space, priority_bias, and lane
+/// matter.
 SolveSubgraph add_solve_subgraph(rt::TaskGraph& graph, const Problem& problem,
                                  const DistConfig& config);
 

@@ -79,8 +79,8 @@ void jacobi5_var(const double* in, double* out, const TileGeom& geom,
 /// count applies to every jacobi5 path, including the variable-coefficient
 /// jacobi5_var — per-point coefficients change which operands are loaded (5
 /// extra plane reads per point), not the 5-multiply/4-add arithmetic — and
-/// all optimized variants in kernel_opt.hpp, whose redundant temporal-step
-/// work the caller accounts by summing this over each step's region.
+/// all optimized variants in kernel_opt.hpp. Redundant CA ghost-band work is
+/// accounted by summing this over each step's region.
 inline double jacobi5_flops(int r0, int r1, int c0, int c1) {
   if (r1 <= r0 || c1 <= c0) return 0.0;
   return kFlopsPerPoint * static_cast<double>(r1 - r0) *

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
-#include <vector>
+#include <string>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define REPRO_KERNEL_X86 1
@@ -123,7 +123,6 @@ const char* kernel_variant_name(KernelVariant v) {
     case KernelVariant::Scalar: return "scalar";
     case KernelVariant::Vector: return "vector";
     case KernelVariant::Blocked: return "blocked";
-    case KernelVariant::Temporal: return "temporal";
   }
   return "scalar";
 }
@@ -134,7 +133,7 @@ KernelVariant parse_kernel_variant(const std::string& name) {
   }
   throw std::invalid_argument(
       "unknown kernel variant '" + name +
-      "' (expected scalar, vector, blocked, or temporal)");
+      "' (expected scalar, vector, or blocked)");
 }
 
 bool avx2_available() {
@@ -166,46 +165,8 @@ void jacobi5_opt(const double* in, double* out, const TileGeom& geom,
       rows_vector(in, out, geom, weights, r0, r1, c0, c1, tuning);
       return;
     case KernelVariant::Blocked:
-    case KernelVariant::Temporal:
       sweep_blocked(in, out, geom, weights, r0, r1, c0, c1, tuning);
       return;
-  }
-}
-
-void jacobi5_temporal(const double* in, double* out, const TileGeom& geom,
-                      const Stencil5& weights, int r0, int r1, int c0, int c1,
-                      int m, const std::array<bool, 4>& shrink,
-                      const KernelTuning& tuning) {
-  if (m < 1) throw std::invalid_argument("jacobi5_temporal: m must be >= 1");
-  const auto region = [&](int t) {
-    return std::array<int, 4>{r0 + (shrink[0] ? t : 0),
-                              r1 - (shrink[1] ? t : 0),
-                              c0 + (shrink[2] ? t : 0),
-                              c1 - (shrink[3] ? t : 0)};
-  };
-  const auto last = region(m - 1);
-  if (last[1] <= last[0] || last[3] <= last[2]) {
-    throw std::invalid_argument(
-        "jacobi5_temporal: shrinking empties the region before step m");
-  }
-  if (m == 1) {
-    sweep_blocked(in, out, geom, weights, r0, r1, c0, c1, tuning);
-    return;
-  }
-
-  // Ping-pong through full-geometry scratch copies. Step t reads only cells
-  // inside step t-1's region plus never-written boundary lines, both of which
-  // the full copy preserves; `out` receives only the final region.
-  std::vector<double> a(in, in + geom.size());
-  std::vector<double> b;
-  if (m > 2) b.assign(in, in + geom.size());
-  double* scratch[2] = {a.data(), m > 2 ? b.data() : a.data()};
-  const double* src = in;
-  for (int t = 0; t < m; ++t) {
-    const auto r = region(t);
-    double* target = t == m - 1 ? out : scratch[t & 1];
-    sweep_blocked(src, target, geom, weights, r[0], r[1], r[2], r[3], tuning);
-    src = target;
   }
 }
 

@@ -1,15 +1,15 @@
 // Optimized 5-point Jacobi kernel variants, bit-identical to scalar jacobi5.
 //
-// Three optimization layers behind the same per-point contract as jacobi5:
+// Two optimization layers behind the same per-point contract as jacobi5:
 //
 //   * Vector   — the inner loop in an explicitly vectorizable form, with an
 //                AVX2 path under runtime dispatch (portable form otherwise).
 //   * Blocked  — cache-blocked traversal with tunable block extents, calling
 //                the vectorized row kernel per block.
-//   * Temporal — multi-step fusion (jacobi5_temporal): advance m Jacobi steps
-//                in one call over a shrinking region, the shared-memory
-//                analogue of PA1's redundant ghost-band recompute. The CA
-//                builder uses it to run a whole superstep as one task.
+//
+// Every variant is one sweep and leaves the task graph unchanged. Temporal
+// blocking (several steps per task) is not a kernel: it is the
+// rt::fuse_supersteps graph rewrite (DistConfig::fuse_depth, DESIGN.md §17).
 //
 // Bit-equivalence rule (load-bearing, tested): every variant evaluates each
 // point as (((w0*m + wn*u) + ws*d) + ww*w) + we*e with every multiply and add
@@ -20,7 +20,6 @@
 // with the baseline (compiled without FMA).
 #pragma once
 
-#include <array>
 #include <string>
 
 #include "stencil/kernel.hpp"
@@ -32,16 +31,12 @@ enum class KernelVariant {
   Scalar,   ///< the reference jacobi5 loop (default)
   Vector,   ///< vectorized rows (AVX2 when available, portable otherwise)
   Blocked,  ///< cache-blocked traversal over vectorized rows
-  Temporal, ///< Blocked per sweep; the CA builder additionally fuses each
-            ///< superstep's s inner steps into one task (5-point constant
-            ///< coefficients only)
 };
 
 inline constexpr KernelVariant kAllKernelVariants[] = {
-    KernelVariant::Scalar, KernelVariant::Vector, KernelVariant::Blocked,
-    KernelVariant::Temporal};
+    KernelVariant::Scalar, KernelVariant::Vector, KernelVariant::Blocked};
 
-/// Stable lowercase name ("scalar", "vector", "blocked", "temporal").
+/// Stable lowercase name ("scalar", "vector", "blocked").
 const char* kernel_variant_name(KernelVariant v);
 
 /// Inverse of kernel_variant_name; throws std::invalid_argument naming the
@@ -70,25 +65,9 @@ bool avx2_selected(const KernelTuning& tuning);
 
 /// One Jacobi step over [r0,r1) x [c0,c1), same contract and bit-identical
 /// results as jacobi5 (bounds may reach into ghost regions; all read cells
-/// must lie within the padded extents). Temporal degenerates to Blocked here
-/// — multi-step fusion needs jacobi5_temporal.
+/// must lie within the padded extents).
 void jacobi5_opt(const double* in, double* out, const TileGeom& geom,
                  const Stencil5& weights, int r0, int r1, int c0, int c1,
                  KernelVariant variant, const KernelTuning& tuning = {});
-
-/// Advance `m` Jacobi steps in one call. The rectangle [r0,r1) x [c0,c1) is
-/// the FIRST step's region; each subsequent step shrinks it by one layer on
-/// every side whose `shrink` flag (Side order: N,S,W,E) is set — exactly the
-/// CA scheme's redundant ghost-band recompute. Non-shrinking sides must abut
-/// a fixed (never-written) boundary line in `in`, e.g. the Dirichlet ring.
-/// Writes the final-step region of `out` with step-m values; cells of `out`
-/// outside that region are left untouched. Intermediate steps ping-pong
-/// through internal scratch, so `in` is read-only and results are
-/// bit-identical to m separate jacobi5 calls over the shrinking regions.
-/// Throws std::invalid_argument if m < 1 or shrinking empties the region.
-void jacobi5_temporal(const double* in, double* out, const TileGeom& geom,
-                      const Stencil5& weights, int r0, int r1, int c0, int c1,
-                      int m, const std::array<bool, 4>& shrink,
-                      const KernelTuning& tuning = {});
 
 }  // namespace repro::stencil

@@ -1,12 +1,10 @@
 #include "stencil/serial.hpp"
 
-#include <algorithm>
-
-#include "stencil/spec_kernel.hpp"
-#include <array>
 #include <stdexcept>
 #include <utility>
 #include <vector>
+
+#include "stencil/spec_kernel.hpp"
 
 namespace repro::stencil {
 
@@ -85,14 +83,11 @@ Grid2D solve_serial_shape(const Problem& problem) {
 }
 
 Grid2D solve_serial_opt(const Problem& problem, KernelVariant variant,
-                        const KernelTuning& tuning, int fuse) {
+                        const KernelTuning& tuning) {
   if (problem.shape || problem.coefficient) {
     throw std::invalid_argument(
         "solve_serial_opt supports only the plain constant-coefficient "
         "5-point stencil");
-  }
-  if (fuse < 1) {
-    throw std::invalid_argument("solve_serial_opt: fuse must be >= 1");
   }
 
   // One ring-padded "tile" covering the whole grid, like solve_serial_shape.
@@ -107,26 +102,10 @@ Grid2D solve_serial_opt(const Problem& problem, KernelVariant variant,
     }
   }
   std::vector<double> next = current;
-
-  if (variant == KernelVariant::Temporal) {
-    // The fixed Dirichlet ring bounds all four sides, so fused steps need no
-    // shrinking: each inner step re-reads the ring and the previous step's
-    // full interior.
-    const std::array<bool, 4> no_shrink = {false, false, false, false};
-    int iter = 0;
-    while (iter < problem.iterations) {
-      const int m = std::min(fuse, problem.iterations - iter);
-      jacobi5_temporal(current.data(), next.data(), g, problem.weights, 0,
-                       g.h, 0, g.w, m, no_shrink, tuning);
-      std::swap(current, next);
-      iter += m;
-    }
-  } else {
-    for (int iter = 0; iter < problem.iterations; ++iter) {
-      jacobi5_opt(current.data(), next.data(), g, problem.weights, 0, g.h, 0,
-                  g.w, variant, tuning);
-      std::swap(current, next);
-    }
+  for (int iter = 0; iter < problem.iterations; ++iter) {
+    jacobi5_opt(current.data(), next.data(), g, problem.weights, 0, g.h, 0,
+                g.w, variant, tuning);
+    std::swap(current, next);
   }
 
   Grid2D grid(problem.rows, problem.cols);

@@ -15,15 +15,12 @@ namespace repro::stencil {
 /// return its z plane 0.
 Grid2D solve_serial(const Problem& problem);
 
-/// Serial solve through an optimized kernel variant (kernel_opt.hpp):
-/// Scalar/Vector/Blocked sweep the whole interior once per iteration;
-/// Temporal fuses the iterations in blocks of `fuse` steps via
-/// jacobi5_temporal (no shrinking — the single "tile" is bounded by the
-/// fixed Dirichlet ring on all four sides). Every variant returns a grid
-/// bit-identical to solve_serial. Only the plain constant-coefficient
-/// problem is supported; shape/coefficient problems throw.
+/// Serial solve through an optimized kernel variant (kernel_opt.hpp): one
+/// sweep of the whole interior per iteration, bit-identical to
+/// solve_serial. Only the plain constant-coefficient problem is supported;
+/// shape/coefficient problems throw.
 Grid2D solve_serial_opt(const Problem& problem, KernelVariant variant,
-                        const KernelTuning& tuning = {}, int fuse = 4);
+                        const KernelTuning& tuning = {});
 
 /// One sweep: out.interior = stencil(in), ring copied through.
 void serial_sweep(const Grid2D& in, Grid2D& out, const Stencil5& weights);

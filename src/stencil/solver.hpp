@@ -22,8 +22,8 @@ struct IterativeSolveResult {
 
 /// `problem.iterations` is ignored; rounds of `round_iterations` sweeps run
 /// until max-change < tolerance. Throws on invalid arguments. The compute
-/// kernel (and the fused-temporal graph shape) is selected by
-/// `config.kernel`, exactly as in a direct run_distributed() call.
+/// kernel is selected by `config.kernel`, exactly as in a direct
+/// run_distributed() call.
 IterativeSolveResult solve_to_tolerance(const Problem& problem,
                                         const DistConfig& config,
                                         double tolerance,

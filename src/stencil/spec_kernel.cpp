@@ -118,8 +118,8 @@ void apply_program_stage(const double* in, double* out, const TileGeom& geom,
     }
     return;
   }
-  // Blocked traversal (Vector/Temporal degenerate to it for generic
-  // programs): row-band blocking keeps all ncomp input planes' working rows
+  // Blocked traversal (Vector degenerates to it for generic programs):
+  // row-band blocking keeps all ncomp input planes' working rows
   // resident; traversal order cannot change bits (Jacobi stages have no
   // cross-point ordering).
   const int br = std::max(1, tuning.block_rows);

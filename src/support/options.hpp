@@ -29,8 +29,8 @@ class Options {
   double get_double(const std::string& key, double fallback) const;
   /// True for "true"/"1"/"yes" (and for a bare --flag); absent -> fallback.
   bool get_bool(const std::string& key, bool fallback) const;
-  /// Value constrained to `allowed` (e.g. --kernel=scalar|vector|blocked|
-  /// temporal). Absent key -> fallback; a value outside `allowed` throws
+  /// Value constrained to `allowed` (e.g. --kernel=scalar|vector|blocked).
+  /// Absent key -> fallback; a value outside `allowed` throws
   /// std::invalid_argument listing the accepted spellings, so benches fail
   /// loudly instead of silently running the default configuration.
   std::string get_choice(const std::string& key, const std::string& fallback,

@@ -14,6 +14,7 @@
 #include "fault/resilient.hpp"
 #include "net/transport.hpp"
 #include "runtime/runtime.hpp"
+#include "spec/stencil_spec.hpp"
 #include "stencil/dist_stencil.hpp"
 #include "stencil/serial.hpp"
 
@@ -352,6 +353,26 @@ TEST(FaultE2E, ResilientRunnerRecoversFusedRunsBitIdentically) {
   EXPECT_TRUE(test_support::grids_match(expected, result.grid));
   EXPECT_GE(result.rollbacks, 1);
   EXPECT_GT(result.checkpoints.stored, 0u);
+}
+
+TEST(FaultE2E, ResilientRunnerRejectsSpecProblems) {
+  // Every window restarts through Problem::initial, which a spec problem
+  // never reads (it samples initial3), so each window would silently start
+  // over from the original field. The runner refuses spec problems by name;
+  // a classic problem over the same windows stays exact.
+  ResilientConfig config;
+  config.dist.decomp = {6, 6, 2, 2};
+  config.checkpoint_supersteps = 2;  // 6 iterations = 3 windows
+  for (const char* name : {"star5", "star9", "box9", "advect2d"}) {
+    const Problem problem =
+        stencil::spec_problem(spec::spec_by_name(name), 24, 24, 6);
+    EXPECT_THROW(run_resilient(problem, config), std::invalid_argument)
+        << name;
+  }
+  const Problem classic = stencil::random_problem(24, 24, 6);
+  const ResilientResult result = run_resilient(classic, config);
+  EXPECT_EQ(result.windows, 3);
+  EXPECT_EQ(Grid2D::max_abs_diff(solve_serial(classic), result.grid), 0.0);
 }
 
 TEST(FaultE2E, ResilientRunnerUnderSustainedRandomLoss) {

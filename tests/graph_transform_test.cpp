@@ -26,6 +26,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "equivalence_helpers.hpp"
@@ -1236,29 +1237,19 @@ TEST(GraphTransformStencil, FusedRunValidationAndMetadata) {
     EXPECT_THROW(stencil::run_distributed(problem, config),
                  std::invalid_argument);
   }
-  {
-    // Window exceeding the smallest tile extent is rejected up front.
+  // Window exceeding the smallest tile extent is rejected up front, also
+  // when its int product would wrap to 0 (65536 * 65536 = 2^32).
+  for (const auto& [steps, fuse] : {std::pair{4, 2}, std::pair{65536, 65536}}) {
     stencil::DistConfig config;
     config.decomp = {6, 6, 2, 2};
-    config.steps = 4;
-    config.fuse_depth = 2;
+    config.steps = steps;
+    config.fuse_depth = fuse;
     EXPECT_THROW(stencil::run_distributed(problem, config),
-                 std::invalid_argument);
+                 std::invalid_argument)
+        << "steps " << steps << " fuse " << fuse;
   }
   {
-    // The Temporal kernel absorbs the fuse factor into its in-kernel window
-    // (no graph rewrite), and fused tasks carry the fused<m>| klass tag.
-    stencil::DistConfig config;
-    config.decomp = {12, 12, 2, 2};
-    config.steps = 3;
-    config.fuse_depth = 2;
-    config.kernel = stencil::KernelVariant::Temporal;
-    config.trace = true;
-    const auto result = stencil::run_distributed(problem, config);
-    EXPECT_TRUE(test_support::grids_match(stencil::solve_serial(problem),
-                                          result.grid));
-  }
-  {
+    // Fused tasks carry the fused<m>| klass tag.
     stencil::DistConfig config;
     config.decomp = {12, 12, 2, 2};
     config.steps = 3;

@@ -96,79 +96,9 @@ TEST_P(KernelOptEquivalence, MatchesScalarBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, KernelOptEquivalence,
-                         ::testing::Values(KernelVariant::Scalar,
-                                           KernelVariant::Vector,
-                                           KernelVariant::Blocked,
-                                           KernelVariant::Temporal),
+                         ::testing::ValuesIn(kAllKernelVariants),
                          [](const auto& info) {
                            return std::string(kernel_variant_name(info.param));
-                         });
-
-/// Reference for jacobi5_temporal: m plain jacobi5 sweeps over the same
-/// shrinking regions through full-buffer ping-pong copies.
-std::vector<double> temporal_reference(const std::vector<double>& in,
-                                       const TileGeom& g, const Stencil5& w,
-                                       Rect r, int m,
-                                       const std::array<bool, 4>& shrink) {
-  std::vector<double> cur = in;
-  std::vector<double> next = in;
-  for (int t = 0; t < m; ++t) {
-    const int r0 = r.r0 + (shrink[0] ? t : 0);
-    const int r1 = r.r1 - (shrink[1] ? t : 0);
-    const int c0 = r.c0 + (shrink[2] ? t : 0);
-    const int c1 = r.c1 - (shrink[3] ? t : 0);
-    next = cur;
-    jacobi5(cur.data(), next.data(), g, w, r0, r1, c0, c1);
-    std::swap(cur, next);
-  }
-  return cur;
-}
-
-class TemporalDepth : public ::testing::TestWithParam<int> {};
-
-TEST_P(TemporalDepth, MatchesIteratedScalarOnShrinkingRegions) {
-  const int m = GetParam();
-  const Stencil5 w = Stencil5::test_weights();
-  const std::array<std::array<bool, 4>, 3> shrink_sets = {{
-      {true, true, true, true},     // interior CA tile: all sides shrink
-      {true, false, false, true},   // mixed: two deep sides, two on the ring
-      {false, false, false, false}  // whole-domain Dirichlet case
-  }};
-  // Ghosts deep enough for m shrink layers plus one read layer.
-  const TileGeom g{9, 11, m + 1, m + 1, m + 1, m + 1};
-  const std::vector<double> in = irregular_fill(g, 42 + m);
-
-  for (const auto& shrink : shrink_sets) {
-    const Rect r{shrink[0] ? -m : 0, g.h + (shrink[1] ? m : 0),
-                 shrink[2] ? -m : 0, g.w + (shrink[3] ? m : 0)};
-    const std::vector<double> expected =
-        temporal_reference(in, g, w, r, m, shrink);
-    std::vector<double> out = in;  // unwritten cells must persist
-    jacobi5_temporal(in.data(), out.data(), g, w, r.r0, r.r1, r.c0, r.c1, m,
-                     shrink);
-    // Compare over the final region only: jacobi5_temporal contracts to
-    // write just the last step's rectangle.
-    const int fr0 = r.r0 + (shrink[0] ? m - 1 : 0);
-    const int fr1 = r.r1 - (shrink[1] ? m - 1 : 0);
-    const int fc0 = r.c0 + (shrink[2] ? m - 1 : 0);
-    const int fc1 = r.c1 - (shrink[3] ? m - 1 : 0);
-    for (int i = fr0; i < fr1; ++i) {
-      for (int j = fc0; j < fc1; ++j) {
-        ASSERT_EQ(expected[g.idx(i, j)], out[g.idx(i, j)])
-            << "m=" << m << " shrink={" << shrink[0] << shrink[1] << shrink[2]
-            << shrink[3] << "} cell (" << i << "," << j << ")";
-      }
-    }
-    // Cells outside the written region keep their prior contents.
-    for (int j = -g.gw; j < g.w + g.ge; ++j) {
-      ASSERT_EQ(in[g.idx(-g.gn, j)], out[g.idx(-g.gn, j)]);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Depths, TemporalDepth, ::testing::Values(1, 2, 4),
-                         [](const auto& info) {
-                           return "m" + std::to_string(info.param);
                          });
 
 TEST(KernelOptApi, VariantNamesRoundTrip) {
@@ -189,29 +119,13 @@ TEST(KernelOptApi, Avx2ForcingIsRespected) {
   EXPECT_EQ(avx2_selected(on), avx2_available());
 }
 
-TEST(KernelOptApi, TemporalRejectsImpossibleRegions) {
-  const TileGeom g{4, 4, 2, 2, 2, 2};
-  const std::vector<double> in(g.size(), 1.0);
-  std::vector<double> out(g.size(), 0.0);
-  const std::array<bool, 4> all{true, true, true, true};
-  EXPECT_THROW(jacobi5_temporal(in.data(), out.data(), g,
-                                Stencil5::test_weights(), 0, 4, 0, 4, 0, all),
-               std::invalid_argument);
-  // Shrinking 4 -> 0 cells before the last step.
-  EXPECT_THROW(jacobi5_temporal(in.data(), out.data(), g,
-                                Stencil5::test_weights(), 0, 4, 0, 4, 3, all),
-               std::invalid_argument);
-}
-
 TEST(SolveSerialOpt, AllVariantsMatchSolveSerial) {
   const Problem problem = random_problem(21, 17, 9);
   const Grid2D expected = solve_serial(problem);
   for (KernelVariant v : kAllKernelVariants) {
-    for (const int fuse : {1, 3, 4}) {
-      const Grid2D actual = solve_serial_opt(problem, v, {}, fuse);
-      EXPECT_EQ(Grid2D::max_abs_diff(expected, actual), 0.0)
-          << kernel_variant_name(v) << " fuse=" << fuse;
-    }
+    const Grid2D actual = solve_serial_opt(problem, v);
+    EXPECT_EQ(Grid2D::max_abs_diff(expected, actual), 0.0)
+        << kernel_variant_name(v);
   }
 }
 
@@ -224,89 +138,53 @@ TEST(SolveSerialOpt, RejectsShapeAndCoefficientProblems) {
                std::invalid_argument);
 }
 
-/// Dist-level invariance: the CA result is identical regardless of which
-/// kernel variant computes it — including the fused Temporal graph, whose
-/// task structure (one task per superstep, deep bands on local sides too)
-/// differs radically from the step-per-task graph.
+/// Dist-level invariance: the result is identical to serial whichever kernel
+/// variant computes it, in the plain CA graph and in fused windows
+/// (fuse_depth > 1, rt::fuse_supersteps), where one task sweeps every
+/// shrinking region of a window. The fused cases are the window's edge
+/// geometries: a ragged final window on a 3x3 node grid, one node whose 16
+/// tiles have only local neighbors, and a single tile with no neighbor.
 class DistVariantInvariance : public ::testing::TestWithParam<KernelVariant> {
 };
 
 TEST_P(DistVariantInvariance, MatchesSerialBitForBit) {
   const KernelVariant variant = GetParam();
-  const Problem problem = random_problem(19, 23, 8);
-  const Grid2D expected = solve_serial(problem);
+  struct Case {
+    int rows, cols, iterations;
+    Decomposition decomp;
+    int steps, fuse_depth;
+  };
+  const Case cases[] = {
+      // steps bounded by the smallest remainder tile (23 % 4 = 3)
+      {19, 23, 8, {5, 4, 2, 2}, 3, 1},
+      {18, 18, 5, {6, 6, 3, 3}, 1, 3},    // windows 3 + 2
+      {18, 18, 7, {6, 6, 3, 3}, 1, 3},    // windows 3 + 3 + 1
+      {16, 16, 8, {4, 4, 1, 1}, 2, 2},    // window 4 fills each tile
+      {16, 16, 8, {16, 16, 1, 1}, 2, 2},  // one tile, no neighbors
+  };
+  for (const Case& c : cases) {
+    const Problem problem = random_problem(c.rows, c.cols, c.iterations);
+    DistConfig config;
+    config.decomp = c.decomp;
+    config.steps = c.steps;
+    config.fuse_depth = c.fuse_depth;
+    config.workers_per_rank = 2;
+    config.kernel = variant;
+    config.tuning.block_rows = 3;  // tiny blocks: cross many block edges
+    config.tuning.block_cols = 5;
 
-  DistConfig config;
-  config.decomp = {5, 4, 2, 2};
-  config.steps = 3;  // bounded by the smallest remainder tile (23 % 4 = 3)
-  config.workers_per_rank = 2;
-  config.kernel = variant;
-  config.tuning.block_rows = 3;  // tiny blocks: cross many block edges
-  config.tuning.block_cols = 5;
-
-  const DistResult result = run_distributed(problem, config);
-  EXPECT_EQ(Grid2D::max_abs_diff(expected, result.grid), 0.0)
-      << kernel_variant_name(variant);
-  EXPECT_GE(result.computed_points, result.nominal_points);
+    const DistResult result = run_distributed(problem, config);
+    EXPECT_EQ(Grid2D::max_abs_diff(solve_serial(problem), result.grid), 0.0)
+        << kernel_variant_name(variant) << " case " << (&c - cases);
+    EXPECT_GE(result.computed_points, result.nominal_points);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, DistVariantInvariance,
-                         ::testing::Values(KernelVariant::Scalar,
-                                           KernelVariant::Vector,
-                                           KernelVariant::Blocked,
-                                           KernelVariant::Temporal),
+                         ::testing::ValuesIn(kAllKernelVariants),
                          [](const auto& info) {
                            return std::string(kernel_variant_name(info.param));
                          });
-
-TEST(DistTemporal, FusedGraphCoversBaseAndRaggedSupersteps) {
-  // steps=1 (degenerate fusion: per-iteration tasks with band exchange on
-  // every side) and a ragged final superstep (iters % steps != 0).
-  for (const auto& [iters, steps] : {std::pair{5, 1}, std::pair{7, 3}}) {
-    const Problem problem = random_problem(18, 18, iters);
-    DistConfig config;
-    config.decomp = {6, 6, 3, 3};
-    config.steps = steps;
-    config.kernel = KernelVariant::Temporal;
-    const DistResult result = run_distributed(problem, config);
-    const Grid2D expected = solve_serial(problem);
-    EXPECT_EQ(Grid2D::max_abs_diff(expected, result.grid), 0.0)
-        << "iters=" << iters << " steps=" << steps;
-  }
-}
-
-TEST(DistTemporal, SingleNodeAndSingleTile) {
-  // All sides local (one node, many tiles) and no sides at all (one tile).
-  for (const auto& [decomp_mb, nodes] : {std::pair{4, 1}, std::pair{16, 1}}) {
-    const Problem problem = random_problem(16, 16, 8);
-    DistConfig config;
-    config.decomp = {decomp_mb, decomp_mb, nodes, nodes};
-    config.steps = 4;
-    config.kernel = KernelVariant::Temporal;
-    const DistResult result = run_distributed(problem, config);
-    const Grid2D expected = solve_serial(problem);
-    EXPECT_EQ(Grid2D::max_abs_diff(expected, result.grid), 0.0)
-        << "tile=" << decomp_mb;
-  }
-}
-
-TEST(DistTemporal, RejectsUnsupportedConfigurations) {
-  const Problem problem = random_problem(16, 16, 4);
-  DistConfig config;
-  config.decomp = {8, 8, 2, 2};
-  config.steps = 2;
-  config.kernel = KernelVariant::Temporal;
-
-  DistConfig ratio_config = config;
-  ratio_config.kernel_ratio = 0.5;
-  EXPECT_THROW(run_distributed(problem, ratio_config), std::invalid_argument);
-
-  Problem coeff_problem = problem;
-  coeff_problem.coefficient = [](long, long) {
-    return std::array<double, kCoeffPlanes>{0.2, 0.2, 0.2, 0.2, 0.2};
-  };
-  EXPECT_THROW(run_distributed(coeff_problem, config), std::invalid_argument);
-}
 
 }  // namespace
 }  // namespace repro::stencil

@@ -204,10 +204,6 @@ TEST(SchedFuzz, CaBlockedBitIdenticalUnderAllSchedules) {
   run_variant_sweep({"ca-blocked", 2, stencil::KernelVariant::Blocked});
 }
 
-TEST(SchedFuzz, CaTemporalBitIdenticalUnderAllSchedules) {
-  run_variant_sweep({"ca-temporal", 2, stencil::KernelVariant::Temporal});
-}
-
 // Fused wavefronts under adversarial schedules: the rewritten graph has one
 // task per tile per window, so the scheduler sees far fewer, far bigger
 // tasks with window-boundary-only cross-tile edges — every steal/stall
@@ -230,14 +226,8 @@ TEST(SchedFuzz, SpecStar9FusedBitIdenticalUnderAllSchedules) {
 }
 
 // Persistent-channel runs through the same adversarial schedule pool: the
-// fused Temporal path annotates routes only for remote neighbors, and the
-// multi-field heat3d path splits every route into nfield fragments — both
-// must stay bit-identical to the serial oracle under every schedule.
-TEST(SchedFuzz, CaTemporalPersistentBitIdenticalUnderAllSchedules) {
-  run_variant_sweep(
-      {"ca-temporal-persistent", 2, stencil::KernelVariant::Temporal, true});
-}
-
+// multi-field heat3d path splits every route into nfield fragments and must
+// stay bit-identical to the serial oracle under every schedule.
 TEST(SchedFuzz, SpecHeat3dCaPersistentBitIdenticalUnderAllSchedules) {
   run_spec_sweep(spec::StencilSpec::heat3d(), 3, 2, /*persistent=*/true);
 }

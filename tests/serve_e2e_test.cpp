@@ -15,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "serve/serve_report.hpp"
 #include "serve/solver_farm.hpp"
+#include "spec/stencil_spec.hpp"
 #include "stencil/serial.hpp"
 
 namespace repro::serve {
@@ -281,6 +282,11 @@ TEST(SolverFarm, MalformedRequestsAreBadRequests) {
   SolveRequest wide = make_request("a", 16, 16, 4, 8, 8, /*steps=*/4, 1);
   wide.fuse_depth = 3;  // window 12 > min tile extent 8
   EXPECT_EQ(farm.submit(wide).rejected, RejectReason::BadRequest);
+  // A window whose int product wraps to 0 (65536 * 65536 = 2^32).
+  SolveRequest wrapped =
+      make_request("a", 16, 16, 4, 8, 8, /*steps=*/65536, 1);
+  wrapped.fuse_depth = 65536;
+  EXPECT_EQ(farm.submit(wrapped).rejected, RejectReason::BadRequest);
   SolveRequest zero = make_request("a", 16, 16, 4, 8, 8, 1, 1);
   zero.fuse_depth = 0;
   EXPECT_EQ(farm.submit(zero).rejected, RejectReason::BadRequest);
@@ -290,6 +296,64 @@ TEST(SolverFarm, MalformedRequestsAreBadRequests) {
   // Tiles don't cover the node grid.
   auto thin = farm.submit(make_request("a", 4, 4, 2, 4, 4, 1, 1));
   EXPECT_EQ(thin.rejected, RejectReason::BadRequest);
+}
+
+SolveRequest star9_request(int steps) {
+  SolveRequest request;
+  request.tenant = "spec";
+  request.problem =
+      stencil::spec_problem(spec::StencilSpec::star9(), 24, 24, /*iters=*/4);
+  request.mb = 6;
+  request.nb = 6;
+  request.steps = steps;
+  return request;
+}
+
+TEST(SolverFarm, SpecRequestsAreCheckedByTheBuildersRules) {
+  // star9 compiles to two radius-1 stages per iteration, so steps 4 needs an
+  // 8-deep ghost band on 6-wide tiles. The farm runs the builder's own
+  // validation and rejects it up front instead of failing it in its wave.
+  SolverFarm farm(small_farm_config());
+  EXPECT_EQ(farm.submit(star9_request(/*steps=*/4)).rejected,
+            RejectReason::BadRequest);
+  // steps 3 fills the tile exactly: admitted, batched, exact.
+  const SolveRequest fits = star9_request(/*steps=*/3);
+  auto submission = farm.submit(fits);
+  ASSERT_TRUE(submission.accepted())
+      << reject_reason_name(submission.rejected);
+  const SolveResponse response = submission.response.get();
+  ASSERT_EQ(response.status, JobStatus::Completed) << response.error;
+  EXPECT_EQ(Grid2D::max_abs_diff(response.grid,
+                                 stencil::solve_serial(fits.problem)),
+            0.0);
+}
+
+TEST(SolverFarm, WindowedSpecJobsAreBadRequests) {
+  // A window restarts from a Grid2D snapshot through Problem::initial,
+  // which a spec problem never reads, so a windowed spec job would complete
+  // from the wrong field. At or above the windowing threshold the farm
+  // rejects spec jobs; the same job below it batches and stays exact.
+  FarmConfig config = small_farm_config();
+  config.preempt_cost_threshold = 10;  // 24*24*4 >> 10: windowed
+  SolverFarm windowed(config);
+  EXPECT_EQ(windowed.submit(star9_request(/*steps=*/1)).rejected,
+            RejectReason::BadRequest);
+  // A classic job of the same shape still runs in windows.
+  auto classic =
+      windowed.submit(make_request("classic", 24, 24, 4, 6, 6, 1, 5));
+  ASSERT_TRUE(classic.accepted());
+  EXPECT_EQ(classic.response.get().status, JobStatus::Completed);
+
+  SolverFarm batched(small_farm_config());
+  const SolveRequest request = star9_request(/*steps=*/1);
+  auto submission = batched.submit(request);
+  ASSERT_TRUE(submission.accepted());
+  const SolveResponse response = submission.response.get();
+  ASSERT_EQ(response.status, JobStatus::Completed) << response.error;
+  EXPECT_EQ(response.windows, 0);
+  EXPECT_EQ(Grid2D::max_abs_diff(response.grid,
+                                 stencil::solve_serial(request.problem)),
+            0.0);
 }
 
 TEST(SolverFarm, ShutdownDrainFinishesQueuedJobsThenRejects) {

@@ -255,42 +255,23 @@ TEST(TraceChrome, EmitsCommSpansAndFlowArrows) {
   EXPECT_EQ(text.back(), '\n');
 }
 
-TEST(TraceCsv, ReadsLegacySevenColumnHeader) {
-  std::stringstream ss;
-  ss << "rank,worker,klass,key,begin_s,end_s,duration_s\n"
-     << "0,1,init,t3(4,5,6),0.25,0.75,0.5\n";
-  const auto events = rt::read_trace_csv(ss);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].kind, rt::TraceEventKind::Task);
-  EXPECT_EQ(events[0].key, (rt::TaskKey{3, 4, 5, 6}));
-  EXPECT_EQ(events[0].steal_victim, -1);
-  EXPECT_EQ(events[0].begin_s, 0.25);
-}
-
-TEST(TraceCsv, ReadsLegacyNineColumnHeader) {
-  // The pre-causal header (kind + victim but no message columns): message
-  // fields default to zero / -1 and deps stay empty.
-  std::stringstream ss;
-  ss << "rank,worker,klass,key,begin_s,end_s,duration_s,kind,victim\n"
-     << "1,2,steal,\"t0(0,0,0)\",0.5,0.5,0,steal,0\n";
-  const auto events = rt::read_trace_csv(ss);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].kind, rt::TraceEventKind::Steal);
-  EXPECT_EQ(events[0].steal_victim, 0);
-  EXPECT_EQ(events[0].peer, -1);
-  EXPECT_EQ(events[0].flow, 0u);
-  EXPECT_EQ(events[0].bytes, 0u);
-  EXPECT_TRUE(events[0].deps.empty());
-}
-
 TEST(TraceCsv, RejectsMalformedRows) {
   std::stringstream bad_header;
   bad_header << "rank,worker\n";
   EXPECT_THROW(rt::read_trace_csv(bad_header), std::runtime_error);
 
+  // Only the header write_trace_csv writes is accepted: the older 9-column
+  // (pre-causal) layout is rejected rather than read with defaults.
+  std::stringstream nine_columns;
+  nine_columns << "rank,worker,klass,key,begin_s,end_s,duration_s,kind,victim\n"
+               << "0,0,k,\"t0(0,0,0)\",0,1,1,task,-1\n";
+  EXPECT_THROW(rt::read_trace_csv(nine_columns), std::runtime_error);
+
+  std::stringstream header;
+  rt::write_trace_csv({}, header);
   std::stringstream bad_key;
-  bad_key << "rank,worker,klass,key,begin_s,end_s,duration_s,kind,victim\n"
-          << "0,0,k,\"nonsense\",0,1,1,task,-1\n";
+  bad_key << header.str()
+          << "0,0,k,\"nonsense\",0,1,1,task,-1,-1,0,0,0,0,0,\"\"\n";
   EXPECT_THROW(rt::read_trace_csv(bad_key), std::runtime_error);
 }
 
