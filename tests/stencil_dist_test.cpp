@@ -294,6 +294,12 @@ TEST(DistStencil, ValidatesConfiguration) {
   EXPECT_THROW(run_distributed(problem, config), std::invalid_argument);
   config.kernel_ratio = 1.5;
   EXPECT_THROW(run_distributed(problem, config), std::invalid_argument);
+  // Live telemetry sizes its per-superstep counters before the graph is
+  // built; a bad config is still rejected by name.
+  config.kernel_ratio = 1.0;
+  config.steps = 0;
+  config.telemetry = true;
+  EXPECT_THROW(run_distributed(problem, config), std::invalid_argument);
 }
 
 TEST(DistStencil, ZeroIterationsGathersInitialField) {
