@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
             << rt::sched_policy_name(host_sched) << " scheduler):\n";
   // star5 stays on the classic hard-wired problem so the default rows remain
   // byte-identical to the pre-spec bench; other specs run the compiled
-  // atomic-stage program.
+  // spec stage.
   const stencil::Problem problem =
       spec_path ? stencil::spec_problem(stencil_spec, n, n, host_iters)
                 : stencil::laplace_problem(n, host_iters);

@@ -93,7 +93,7 @@ int run_measured(const Options& options) {
   // --stencil= reruns the comparison over any named spec. star5 (default)
   // keeps the classic hard-wired 5-point path so the default run stays
   // byte-identical to the pre-spec bench; other specs run the compiled
-  // atomic-stage program.
+  // spec stage.
   const std::string stencil_name =
       options.get_choice("stencil", "star5", spec::spec_names());
   const bool spec_path = stencil_name != "star5";
@@ -286,7 +286,7 @@ int main(int argc, char** argv) {
   // boundaries (rt::fuse_supersteps over the fuse-ready graph). F=1 off.
   const int fuse = static_cast<int>(options.get_int("fuse", 3));
   // --stencil= parameterizes the simulated sweep by any named spec (neighbor
-  // count, stages, field planes all feed the analytic model).
+  // count, radius, field planes all feed the analytic model).
   const spec::StencilSpec sim_spec = spec::spec_by_name(
       options.get_choice("stencil", "star5", spec::spec_names()));
 

@@ -26,7 +26,7 @@
 #include "stencil/kernel_opt.hpp"
 #include "stencil/problem.hpp"
 #include "stencil/serial.hpp"
-#include "stencil/shape.hpp"
+#include "stencil/spec_kernel.hpp"
 
 namespace {
 
@@ -153,32 +153,40 @@ void BM_CsrSpmv(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrSpmv)->Arg(256)->Arg(512)->Arg(1024);
 
-void BM_ApplyShape(benchmark::State& state) {
-  // Generic-shape kernel overhead vs the specialized 5-point kernel: arg 0
-  // selects the shape (0 = 5-point-as-shape, 1 = cross r=2, 2 = box r=1,
-  // 3 = box r=2).
+void BM_ApplyProgram(benchmark::State& state) {
+  // Generic compiled-spec sweep over one tile, for wider stencils than the
+  // 5-point kernels cover: arg 0 = star9 (radius-2 cross), 1 = box9, 2 = the
+  // radius-2 box (25 points).
   const int tile = 288;
-  StencilShape shape;
+  spec::StencilSpec sp;
   switch (state.range(0)) {
-    case 0: shape = StencilShape::five_point(Stencil5::laplace_jacobi()); break;
-    case 1: shape = StencilShape::random_cross(2); break;
-    case 2: shape = StencilShape::random_box(1); break;
-    default: shape = StencilShape::random_box(2); break;
+    case 0: sp = spec::StencilSpec::star9(); break;
+    case 1: sp = spec::StencilSpec::box9(); break;
+    default:
+      sp.name = "box25";
+      for (int di = -2; di <= 2; ++di) {
+        for (int dj = -2; dj <= 2; ++dj) {
+          sp.points.push_back({{di, dj, 0}, 0.9 / 25.0});
+        }
+      }
+      break;
   }
-  const int r = shape.radius;
+  const spec::CompiledProgram program = spec::compile_spec(sp);
+  const int r = program.radius;
   const TileGeom g{tile, tile, r, r, r, r};
   std::vector<double> in(g.size(), 1.0);
   std::vector<double> out(g.size(), 0.0);
   for (auto _ : state) {
-    apply_shape(in.data(), out.data(), g, shape, 0, tile, 0, tile);
+    apply_program_stage(in.data(), out.data(), g, program, 0, tile, 0, tile);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
-      static_cast<double>(tile) * tile * shape.flops_per_point() *
+      static_cast<double>(tile) * tile * program.flops_per_point() *
           static_cast<double>(state.iterations()) / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ApplyShape)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_ApplyProgram)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_Jacobi5Variable(benchmark::State& state) {
   const int tile = 288;

@@ -9,10 +9,10 @@
 // planes. The --report= artefact carries the optional "stencil_spec" block
 // (one descriptor per swept spec) and is validated before writing.
 //
-// What to expect: multi-stage specs (star9: radius 2 = 2 atomic stages) pay
-// more redundant recompute per CA superstep; diagonal-tap specs (box9,
-// box27) add corner messages every superstep; rank-3 specs multiply halo
-// bytes by their field-plane count.
+// What to expect: wider specs (star9: radius 2) exchange radius * steps deep
+// bands and pay more redundant recompute per CA superstep; diagonal-tap specs
+// (box9, box27) add corner messages every superstep; rank-3 specs multiply
+// halo bytes by their field-plane count.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
   const int iters = static_cast<int>(options.get_int("iters", 12));
   const int steps = static_cast<int>(options.get_int("steps", 3));
   // --fuse=F adds a "CA+fused" mode per spec: the fuse-ready graph rewritten
-  // by rt::fuse_supersteps into windows of steps * stage_count * F atomic
-  // stages per exchange. Specs whose window exceeds the tile extent are
+  // by rt::fuse_supersteps into windows of steps * F iterations per
+  // exchange. Specs whose radius * window exceeds the tile extent are
   // skipped (the builder would reject them). F=1 keeps the sweep unchanged.
   const int fuse = static_cast<int>(options.get_int("fuse", 1));
   const int nz = static_cast<int>(options.get_int("nz", 4));
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   report.set_param("channel",
                    obs::Json(persistent ? "persistent" : "default"));
 
-  Table table({"spec", "stages", "mode", "time ms", "Mpoints/s", "messages",
+  Table table({"spec", "radius", "mode", "time ms", "Mpoints/s", "messages",
                "halo KiB", "redundant", "exact"});
   bool all_exact = true;
 
@@ -105,7 +105,6 @@ int main(int argc, char** argv) {
     descriptor["name"] = obs::Json(sp.name);
     descriptor["rank"] = obs::Json(sp.rank);
     descriptor["radius"] = obs::Json(sp.radius());
-    descriptor["stages"] = obs::Json(program.nstages);
     descriptor["points"] = obs::Json(static_cast<long>(sp.points.size()));
     descriptor["field_planes"] = obs::Json(program.nfield);
     descriptor["diagonal_taps"] = obs::Json(program.diagonal_taps);
@@ -122,10 +121,10 @@ int main(int argc, char** argv) {
     }
     for (const Mode& m : modes) {
       const int run_steps = m.steps;
-      if (run_steps * program.nstages * m.fuse > tile) {
+      if (program.radius * run_steps * m.fuse > tile) {
         std::cout << "  (skipping " << sp.name << " " << m.label
-                  << ": window " << run_steps * program.nstages * m.fuse
-                  << " stages exceeds tile extent " << tile << ")\n";
+                  << ": ghost depth " << program.radius * run_steps * m.fuse
+                  << " exceeds tile extent " << tile << ")\n";
         continue;
       }
       stencil::DistConfig config;
@@ -148,7 +147,7 @@ int main(int argc, char** argv) {
           static_cast<double>(r.computed_points) / r.stats.wall_time_s / 1e6;
       const char* mode = m.label;
       table.add_row({sp.name,
-                     Table::cell(static_cast<long long>(program.nstages)), mode,
+                     Table::cell(static_cast<long long>(program.radius)), mode,
                      Table::cell(r.stats.wall_time_s * 1e3, 2),
                      Table::cell(mpoints_s, 1),
                      Table::cell(static_cast<double>(r.stats.messages), 0),
@@ -161,7 +160,7 @@ int main(int argc, char** argv) {
       row["mode"] = obs::Json(mode);
       row["steps"] = obs::Json(run_steps);
       row["fuse"] = obs::Json(m.fuse);
-      row["stages"] = obs::Json(program.nstages);
+      row["radius"] = obs::Json(program.radius);
       row["time_ms"] = obs::Json(r.stats.wall_time_s * 1e3);
       row["mpoints_per_s"] = obs::Json(mpoints_s);
       row["messages"] = obs::Json(static_cast<long>(r.stats.messages));

@@ -288,7 +288,7 @@ bool validate_run_report(const std::string& json_text, std::string* error) {
             (!spec_name->is_string() || spec_name->as_string().empty())) {
           ck.fail(where + ".name: expected a non-empty string");
         }
-        for (const char* key : {"rank", "radius", "stages", "points"}) {
+        for (const char* key : {"rank", "radius", "points"}) {
           const Json* v = ck.require(entry, key, where);
           if (v != nullptr) ck.check_finite_number(*v, where + "." + key);
         }

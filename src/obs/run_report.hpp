@@ -12,8 +12,8 @@
 //                  "histograms": [...] },
 //     "derived": { scalar, ... },              // stats computed from the above
 //     "stencil_spec": [ { "name", "rank",      // OPTIONAL: stencil specs the
-//                         "radius", "stages",  // run swept (spec-driven
-//                         "points", ... }, ... ]  // benches only)
+//                         "radius", "points",  // run swept (spec-driven
+//                         ... }, ... ]         // benches only)
 //     "telemetry": { ... }                     // OPTIONAL: embedded
 //                                              // repro.telemetry/v1 stream
 //   }
@@ -39,7 +39,7 @@ class RunReport {
   void set_param(const std::string& key, Json value);
   void set_derived(const std::string& key, Json value);
   /// Append one stencil-spec descriptor (object of scalars: name, rank,
-  /// radius, stages, points, ...). Emits the optional top-level
+  /// radius, points, ...). Emits the optional top-level
   /// "stencil_spec" array; reports that never call this are unchanged.
   void add_stencil_spec(Json descriptor);
   /// Append one result row; must be a JSON object of scalars.

@@ -150,9 +150,8 @@ RejectReason SolverFarm::validate(const SolveRequest& request) const {
   const stencil::Problem& p = request.problem;
   // The farm's own policy: a job must do work, and a windowed job restarts
   // each window from a Grid2D snapshot through Problem::initial, which spec
-  // problems do not read (they sample initial3; multi-stage specs derive
-  // their exterior partials from the original field and rank-3 specs carry
-  // nz planes). So spec jobs must stay below the windowing threshold.
+  // problems do not read (they sample initial3, and rank-3 specs carry nz
+  // planes). So spec jobs must stay below the windowing threshold.
   if (p.iterations < 1) return RejectReason::BadRequest;
   if (p.spec && request_cost(request) >= config_.preempt_cost_threshold) {
     return RejectReason::BadRequest;

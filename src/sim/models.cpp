@@ -42,24 +42,24 @@ double spill_factor(const Machine& m, double working_set) {
 StencilSimOutput simulate_stencil(const StencilSimParams& p, bool trace) {
   const stencil::TileMap map(p.N, p.N, p.tile, p.tile, p.node_rows,
                              p.node_cols);
-  // Compile the spec exactly like the real driver: the run advances in STAGE
-  // UNITS (steps_eff = steps * nstages), remote payloads carry the nfield
-  // field planes, and diagonal-tap programs exchange corners every superstep.
+  // Compile the spec exactly like the real driver: ghost bands are
+  // radius * steps deep, remote payloads carry the nfield field planes, and
+  // diagonal-tap programs exchange corners every superstep.
   const spec::CompiledProgram program = spec::compile_spec(p.stencil, p.nz);
-  const int nstages = program.nstages;
-  const int steps_eff = p.steps * nstages;
+  const int radius = program.radius;
   const int nfield = program.nfield;
   const bool diag_taps = program.diagonal_taps;
   const double flops_pp = program.flops_per_point();
   // Task costs are calibrated in 9-FLOP 5-point units; other programs scale
-  // by their per-stage tap work (approximate — the real kernel's cache
-  // behavior differs — but message counts and bytes below are exact).
+  // by their tap work (approximate — the real kernel's cache behavior
+  // differs — but message counts and bytes below are exact).
   const double flops_scale = flops_pp / 9.0;
-  // Fused wavefronts: the window W replaces steps_eff everywhere the ghost
-  // depth or exchange cadence matters (W is what radius * steps becomes in
-  // the real fuse-ready builder).
-  const int W = steps_eff * p.fuse;
-  if (p.steps < 1 || p.fuse < 1 || W > map.min_tile_extent()) {
+  // Fused wavefronts: the window W of steps * fuse iterations replaces steps
+  // everywhere the exchange cadence matters; ghost bands are radius * W deep
+  // (the real fuse-ready builder's radius * steps).
+  const int W = p.steps * p.fuse;
+  const int depth = radius * W;
+  if (p.steps < 1 || p.fuse < 1 || depth > map.min_tile_extent()) {
     throw std::invalid_argument("simulate_stencil: bad step size");
   }
   const bool fused = p.fuse > 1;
@@ -81,12 +81,10 @@ StencilSimOutput simulate_stencil(const StencilSimParams& p, bool trace) {
 
   double redundant_points = 0.0;
 
-  // Fused runs unfold one task per tile per W-stage window (the shape
+  // Fused runs unfold one task per tile per W-iteration window (the shape
   // rt::fuse_supersteps leaves behind); classic runs unfold one task per
   // tile per iteration. Window 0 / iteration 0 is INIT either way.
-  const int stage_iters = p.iterations * nstages;
-  const int nwindows = (stage_iters + W - 1) / W;
-  const int nblocks = fused ? nwindows : p.iterations;
+  const int nblocks = fused ? (p.iterations + W - 1) / W : p.iterations;
 
   // First pass: tasks.
   for (int k = 0; k <= nblocks; ++k) {
@@ -116,20 +114,18 @@ StencilSimOutput simulate_stencil(const StencilSimParams& p, bool trace) {
                         static_cast<double>(h) * w / worker_rate;
         } else {
           task.klass = boundary ? kKlassBoundary : kKlassInterior;
-          // One task models either the iteration's nstages atomic stages
-          // (classic: each a real runtime task, so overhead per stage) or a
-          // whole fused window (one runtime task, overhead paid ONCE — the
-          // modeled upside of the rewrite). Each stage's shrink region
-          // loses one layer per STAGE unit, exactly as the real driver's
-          // stage tasks do.
+          // One task models either one iteration or a whole fused window
+          // (one runtime task, overhead paid ONCE — the modeled upside of
+          // the rewrite). Each step's region loses radius layers, exactly
+          // as the real driver's shrink does.
           const int members =
-              fused ? std::min(W, stage_iters - (k - 1) * W) : nstages;
+              fused ? std::min(W, p.iterations - (k - 1) * W) : 1;
           double points = 0.0;
           const double core = std::max(1.0, std::round(h * p.ratio)) *
                               std::max(1.0, std::round(w * p.ratio));
           for (int t = 0; t < members; ++t) {
-            const int jj = fused ? t : ((k - 1) * nstages + t) % W;
-            const int extra = W - (jj + 1);
+            const int jj = fused ? t : (k - 1) % W;
+            const int extra = radius * (W - (jj + 1));
             double rows = h + (deep[0] ? extra : 0) + (deep[1] ? extra : 0);
             double cols = w + (deep[2] ? extra : 0) + (deep[3] ? extra : 0);
             rows = std::max(1.0, std::round(rows * p.ratio));
@@ -138,8 +134,7 @@ StencilSimOutput simulate_stencil(const StencilSimParams& p, bool trace) {
             redundant_points += rows * cols - core;
           }
           task.cost_s =
-              p.machine.task_overhead_s * (fused ? 1 : nstages) +
-              points * flops_scale * point_time;
+              p.machine.task_overhead_s + points * flops_scale * point_time;
         }
         graph.add_task(task);
       }
@@ -203,7 +198,7 @@ StencilSimOutput simulate_stencil(const StencilSimParams& p, bool trace) {
                                     : map.tile_h(ti);
             add_remote_edge(id(k - 1, ni, nj), me, map.rank_of(ni, nj),
                             map.rank_of(ti, tj),
-                            static_cast<std::size_t>(W) * lateral * nfield,
+                            static_cast<std::size_t>(depth) * lateral * nfield,
                             k);
           }
         }
@@ -219,9 +214,10 @@ StencilSimOutput simulate_stencil(const StencilSimParams& p, bool trace) {
               // diagonal supplies its corner block (deep bands on every
               // side need their corners), remote ones as messages.
               if (diag_remote) {
-                add_remote_edge(id(k - 1, ni, nj), me, map.rank_of(ni, nj),
-                                map.rank_of(ti, tj),
-                                static_cast<std::size_t>(W) * W * nfield, k);
+                add_remote_edge(
+                    id(k - 1, ni, nj), me, map.rank_of(ni, nj),
+                    map.rank_of(ti, tj),
+                    static_cast<std::size_t>(depth) * depth * nfield, k);
               } else {
                 graph.add_edge(id(k - 1, ni, nj), me);
               }
@@ -239,7 +235,8 @@ StencilSimOutput simulate_stencil(const StencilSimParams& p, bool trace) {
             if (!(diag_taps || (W > 1 && adjacent_remote))) continue;
             add_remote_edge(id(k - 1, ni, nj), me, map.rank_of(ni, nj),
                             map.rank_of(ti, tj),
-                            static_cast<std::size_t>(W) * W * nfield, k);
+                            static_cast<std::size_t>(depth) * depth * nfield,
+                            k);
           }
         }
       }
@@ -294,11 +291,10 @@ StencilSimOutput simulate_stencil(const StencilSimParams& p, bool trace) {
     out.sim.message_bytes += out.telemetry_bytes;
   }
   out.time_s = out.sim.makespan_s;
-  // Nominal work on the same stage-update basis the real driver accounts:
-  // flops_per_point is per stage cell, nominal stage updates are
-  // N^2 * iterations * nstages (star5: exactly the classic 9 * N^2 * iters).
+  // Nominal work on the same basis the real driver accounts (star5: exactly
+  // the classic 9 * N^2 * iters).
   const double nominal = flops_pp * static_cast<double>(p.N) * p.N *
-                         p.iterations * nstages * p.ratio * p.ratio;
+                         p.iterations * p.ratio * p.ratio;
   out.gflops = nominal / out.time_s / 1e9;
   out.redundant_fraction =
       redundant_points * flops_pp / std::max(nominal, 1.0);

@@ -79,17 +79,17 @@ struct StencilSimParams {
   double ratio = 1.0;   ///< kernel-adjustment ratio (Figs. 8/9)
   /// Fused-wavefront depth (DistConfig::fuse_depth analog). With fuse = f >
   /// 1 the model unfolds the REWRITTEN graph rt::fuse_supersteps produces:
-  /// one task per tile per window of steps * stage_count * f atomic stages
-  /// (task overhead paid once per window), deep ghost bands on EVERY
+  /// one task per tile per window of steps * f iterations (task overhead
+  /// paid once per window), radius * steps * f deep ghost bands on EVERY
   /// neighbor side (local neighbors included — their per-step edges become
   /// in-task staging), and one remote exchange per window whose band and
   /// corner payloads match the real driver's byte for byte.
   int fuse = 1;
   /// Stencil spec the run models. The default star5 reproduces the classic
   /// model exactly; other specs change the message schedule the way the real
-  /// driver does — supersteps span steps * stage_count atomic stages, bands
-  /// and corner blocks carry the program's nfield field planes, and
-  /// diagonal-tap specs (box9, ...) add corner exchanges at every superstep.
+  /// driver does — bands and corner blocks are radius * steps deep and carry
+  /// the program's nfield field planes, and diagonal-tap specs (box9, ...)
+  /// add corner exchanges at every superstep.
   spec::StencilSpec stencil = spec::StencilSpec::star5();
   int nz = 1;           ///< interior z planes (rank-3 specs)
   /// Schedule node-boundary tiles ahead of interior tiles (the runtime's

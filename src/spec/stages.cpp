@@ -5,45 +5,10 @@
 
 namespace repro::spec {
 
-namespace {
-
-int clamp1(int v, int k) { return std::clamp(v, -k, k); }
-
-/// clamp(o_xy, k) over the decomposed axes.
-std::array<int, 2> clamp_xy(const std::array<int, 3>& o, int k) {
-  return {clamp1(o[0], k), clamp1(o[1], k)};
-}
-
-/// Ordered-unique level set V_t: first-occurrence order over the spec's
-/// point list, so compilation is deterministic and order-preserving (the
-/// point order pins the FP accumulation sequence of stage 1).
-std::vector<std::array<int, 2>> level_set(const StencilSpec& spec, int k) {
-  std::vector<std::array<int, 2>> vs;
-  for (const StencilPoint& p : spec.points) {
-    const std::array<int, 2> v = clamp_xy(p.offset, k);
-    if (std::find(vs.begin(), vs.end(), v) == vs.end()) vs.push_back(v);
-  }
-  return vs;
-}
-
-}  // namespace
-
 double CompiledProgram::flops_per_point() const {
   double total = 0.0;
-  for (const Stage& st : stages) {
-    for (const StageOutput& out : st.outputs) {
-      total += 2.0 * static_cast<double>(out.taps.size()) - 1.0;
-    }
-  }
-  return total / static_cast<double>(nstages);
-}
-
-long long CompiledProgram::taps_total() const {
-  long long total = 0;
-  for (const Stage& st : stages) {
-    for (const StageOutput& out : st.outputs) {
-      total += static_cast<long long>(out.taps.size());
-    }
+  for (const StageOutput& out : outputs) {
+    total += 2.0 * static_cast<double>(out.taps.size()) - 1.0;
   }
   return total;
 }
@@ -61,142 +26,24 @@ CompiledProgram compile_spec(const StencilSpec& spec, int nz) {
   prog.zlo = spec.reach(2, -1);
   prog.zhi = spec.reach(2, +1);
   prog.nfield = nz + prog.zlo + prog.zhi;
-  const int r = stage_count(spec);
-  prog.nstages = r;
+  prog.radius = std::max(1, spec.radius_xy());
 
-  // Field planes: component c holds z plane (c - zlo); exterior rule is the
-  // identity sample of that plane.
-  prog.pad.resize(static_cast<std::size_t>(prog.nfield));
-  for (int c = 0; c < prog.nfield; ++c) {
-    prog.pad[static_cast<std::size_t>(c)] = {{1.0, 0, 0, c}};
-  }
-  prog.ncomp = prog.nfield;
-
-  if (r == 1) {
-    // Single stage: the spec applied directly, z offsets as plane deltas.
-    Stage stage;
-    for (int z = 0; z < nz; ++z) {
-      StageOutput out;
-      out.comp = prog.zlo + z;
-      for (const StencilPoint& p : spec.points) {
-        out.taps.push_back(
-            {prog.zlo + z + p.offset[2], p.offset[0], p.offset[1], p.coeff});
-      }
-      stage.outputs.push_back(std::move(out));
+  // The spec applied directly, z offsets as plane deltas.
+  for (int z = 0; z < nz; ++z) {
+    StageOutput out;
+    out.plane = prog.zlo + z;
+    for (const StencilPoint& p : spec.points) {
+      out.taps.push_back(
+          {prog.zlo + z + p.offset[2], p.offset[0], p.offset[1], p.coeff});
+      if (p.offset[0] != 0 && p.offset[1] != 0) prog.diagonal_taps = true;
     }
-    prog.stages.push_back(std::move(stage));
-  } else {
-    // Intermediate components, allocated per (level t, remainder v, z):
-    // sharing a slot across levels would break the static exterior rule
-    // (the same remainder groups DIFFERENT offsets at different levels).
-    std::vector<std::vector<std::array<int, 2>>> levels;  // V_1 .. V_{r-1}
-    for (int t = 1; t <= r - 1; ++t) {
-      levels.push_back(level_set(spec, r - t));
-    }
-    // comp id of (t, v, z), t in 1..r-1.
-    auto comp_of = [&](int t, const std::array<int, 2>& v, int z) {
-      int id = prog.nfield;
-      for (int tt = 1; tt < t; ++tt) {
-        id += static_cast<int>(levels[static_cast<std::size_t>(tt - 1)].size()) * nz;
-      }
-      const auto& vs = levels[static_cast<std::size_t>(t - 1)];
-      const auto it = std::find(vs.begin(), vs.end(), v);
-      id += static_cast<int>(it - vs.begin()) * nz + z;
-      return id;
-    };
-    for (const auto& vs : levels) {
-      prog.ncomp += static_cast<int>(vs.size()) * nz;
-    }
-    prog.pad.resize(static_cast<std::size_t>(prog.ncomp));
-
-    // Stage 1: weighted gather from the field planes, grouped by
-    // clamp(o_xy, r-1). Point order within a group is preserved.
-    {
-      Stage stage;
-      for (const std::array<int, 2>& v : levels[0]) {
-        for (int z = 0; z < nz; ++z) {
-          StageOutput out;
-          out.comp = comp_of(1, v, z);
-          auto& rule = prog.pad[static_cast<std::size_t>(out.comp)];
-          for (const StencilPoint& p : spec.points) {
-            if (clamp_xy(p.offset, r - 1) != v) continue;
-            const int di = p.offset[0] - v[0];
-            const int dj = p.offset[1] - v[1];
-            const int plane = prog.zlo + z + p.offset[2];
-            out.taps.push_back({plane, di, dj, p.coeff});
-            rule.push_back({p.coeff, di, dj, plane});
-          }
-          stage.outputs.push_back(std::move(out));
-        }
-      }
-      prog.stages.push_back(std::move(stage));
-    }
-
-    // Stages 2..r-1: funnel level t-1 components into level t
-    // (v = clamp(v', r - t); shifts v' - v are 1-deep by construction).
-    for (int t = 2; t <= r - 1; ++t) {
-      Stage stage;
-      const auto& prev = levels[static_cast<std::size_t>(t - 2)];
-      for (const std::array<int, 2>& v : levels[static_cast<std::size_t>(t - 1)]) {
-        for (int z = 0; z < nz; ++z) {
-          StageOutput out;
-          out.comp = comp_of(t, v, z);
-          auto& rule = prog.pad[static_cast<std::size_t>(out.comp)];
-          for (const std::array<int, 2>& vp : prev) {
-            if (std::array<int, 2>{clamp1(vp[0], r - t),
-                                   clamp1(vp[1], r - t)} != v) {
-              continue;
-            }
-            out.taps.push_back(
-                {comp_of(t - 1, vp, z), vp[0] - v[0], vp[1] - v[1], 1.0});
-          }
-          // Exterior rule: the union of the source groups' rules, each term
-          // shifted by (v' - v) — still a static partial of boundary data.
-          for (const StageTap& tap : out.taps) {
-            for (const ExteriorTerm& term :
-                 prog.pad[static_cast<std::size_t>(tap.in_comp)]) {
-              rule.push_back(
-                  {term.w, term.di + tap.di, term.dj + tap.dj, term.z});
-            }
-          }
-          stage.outputs.push_back(std::move(out));
-        }
-      }
-      prog.stages.push_back(std::move(stage));
-    }
-
-    // Stage r: reassemble the field from V_{r-1}; every shift is v' itself.
-    {
-      Stage stage;
-      const auto& prev = levels[static_cast<std::size_t>(r - 2)];
-      for (int z = 0; z < nz; ++z) {
-        StageOutput out;
-        out.comp = prog.zlo + z;
-        for (const std::array<int, 2>& vp : prev) {
-          out.taps.push_back({comp_of(r - 1, vp, z), vp[0], vp[1], 1.0});
-        }
-        stage.outputs.push_back(std::move(out));
-      }
-      prog.stages.push_back(std::move(stage));
-    }
-  }
-
-  for (const Stage& st : prog.stages) {
-    for (const StageOutput& out : st.outputs) {
-      for (const StageTap& tap : out.taps) {
-        if (tap.di != 0 && tap.dj != 0) prog.diagonal_taps = true;
-        if (std::abs(tap.di) > 1 || std::abs(tap.dj) > 1) {
-          throw std::logic_error("compile_spec: stage tap deeper than 1");
-        }
-      }
-    }
+    prog.outputs.push_back(std::move(out));
   }
 
   // Recognize the classic 2D 5-point stencil in jacobi5 tap order so the
   // driver can dispatch the optimized cache-blocked kernels.
-  if (spec.rank == 2 && prog.nstages == 1 && prog.ncomp == 1 &&
-      prog.stages[0].outputs.size() == 1) {
-    const auto& taps = prog.stages[0].outputs[0].taps;
+  if (spec.rank == 2 && prog.outputs.size() == 1) {
+    const auto& taps = prog.outputs[0].taps;
     constexpr std::array<std::array<int, 2>, 5> pattern = {
         {{0, 0}, {-1, 0}, {1, 0}, {0, -1}, {0, 1}}};
     if (taps.size() == 5) {

@@ -201,8 +201,8 @@ StencilSpec random_spec(unsigned long seed) {
   unsigned long h = hash64(seed * 0x9e3779b97f4a7c15UL + 1);
   s.rank = 1 + static_cast<int>(h % 3);
   h = hash64(h);
-  // Keep the stage chain and the z plane count small: xy radius <= 3 for 2D,
-  // <= 2 once z participates (component count grows with both).
+  // Keep the halo depth and the z plane count small: xy radius <= 3 for 2D,
+  // <= 2 once z participates (field planes grow with the z radius).
   const int radius = 1 + static_cast<int>(h % (s.rank == 3 ? 2 : 3));
 
   // Always include the center, then an independent coin per candidate offset
@@ -272,13 +272,9 @@ std::vector<HaloRegion> derive_halos(const StencilSpec& spec) {
   return regions;
 }
 
-int stage_count(const StencilSpec& spec) {
-  return std::max(1, spec.radius_xy());
-}
-
 int ca_ghost_depth(const StencilSpec& spec, int steps) {
   if (steps < 1) throw std::invalid_argument("ca_ghost_depth: steps < 1");
-  return stage_count(spec) * steps;
+  return std::max(1, spec.radius_xy()) * steps;
 }
 
 }  // namespace repro::spec

@@ -1,15 +1,14 @@
 // Declarative stencil front end: an N-dimensional stencil described as a set
 // of (offset, coefficient) points, from which everything downstream is
 // DERIVED rather than hand-coded — per-neighbor halo regions (faces, edges,
-// corners), the CA ghost-band recompute depth, and the atomic-stage
-// decomposition (stages.hpp) that splits a radius-r stencil into r chained
-// 1-deep stages (Qiqi Wang's construction, see PAPERS.md).
+// corners), the CA ghost-band recompute depth, and the compiled stage
+// (stages.hpp) the kernels sweep.
 //
 // Conventions:
 //   * axis 0 = rows (i), axis 1 = cols (j) — the two DECOMPOSED axes the
-//     tile grid distributes; axis 2 = z, folded into per-cell components by
-//     the stage compiler (rank-3 specs run as "2.5D": x/y over tiles, z in
-//     registers/planes).
+//     tile grid distributes; axis 2 = z, folded into per-cell field planes
+//     by compile_spec (rank-3 specs run as "2.5D": x/y over tiles, z in
+//     planes).
 //   * point ORDER is semantic: kernels accumulate taps in listed order, so
 //     the order pins the floating-point rounding sequence. star5() lists
 //     center, north, south, west, east — exactly jacobi5's order — which is
@@ -48,7 +47,7 @@ struct StencilSpec {
   /// Max Chebyshev reach over ALL axes.
   int radius() const;
   /// Max Chebyshev reach over the decomposed axes (0, 1) only — this, not
-  /// radius(), is the atomic-stage count (z offsets are tile-local).
+  /// radius(), sets the halo depth (z offsets are tile-local).
   int radius_xy() const;
   /// Max offset extent along `axis` toward `dir` (+1 or -1). 0 = the spec
   /// never reads that direction.
@@ -64,7 +63,7 @@ struct StencilSpec {
   // Named constructors (the --stencil= pool).
   static StencilSpec star5();  ///< classic 2D 5-point, jacobi5 tap order
   static StencilSpec star5(const std::array<double, 5>& w);  ///< c,n,s,w,e
-  static StencilSpec star9();    ///< 2D radius-2 cross (2 atomic stages)
+  static StencilSpec star9();    ///< 2D radius-2 cross (2-deep halos)
   static StencilSpec box9();     ///< 2D radius-1 box (corner exchanges)
   static StencilSpec heat3d();   ///< 3D 7-point (2.5D: z folded into planes)
   static StencilSpec advect2d(); ///< asymmetric 3-point upwind
@@ -100,11 +99,8 @@ struct HaloRegion {
 /// (a cross spec needs faces only; a box spec needs faces + corners).
 std::vector<HaloRegion> derive_halos(const StencilSpec& spec);
 
-/// Atomic-stage count of the staged execution: max(1, radius_xy()).
-int stage_count(const StencilSpec& spec);
-
-/// CA ghost-band depth on the decomposed axes for an s-step superstep under
-/// staged execution: one layer per stage-iteration = stage_count * steps.
+/// CA ghost-band depth on the decomposed axes for an s-step superstep:
+/// max(1, radius_xy()) * steps.
 int ca_ghost_depth(const StencilSpec& spec, int steps);
 
 }  // namespace repro::spec

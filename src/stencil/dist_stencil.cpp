@@ -47,7 +47,8 @@ struct TileInfo {
   bool side_deep[4] = {};
   /// This tile consumes a corner block from the diagonal neighbor at Corner c.
   bool corner_in[4] = {};
-  /// Box shapes only: this tile reads the same-node diagonal's state at c.
+  /// Diagonal-tap stencils only: this tile reads the same-node diagonal's
+  /// state at c.
   bool corner_local[4] = {};
   bool boundary = false;  ///< any remote side (paper's "boundary tile")
 };
@@ -84,8 +85,8 @@ TileInfo make_tile_info(const TileMap& map, int steps, int radius, bool box,
     if (fuse_ready) {
       // Fused windows redundantly compute into every neighbor-facing band,
       // so every existing diagonal must supply its corner block (steps > 1;
-      // a 1-step window only reads the one-deep cross halo — unless the
-      // stencil is box-shaped and reads diagonals every step).
+      // a 1-step window only reads the cross halo — unless the stencil has
+      // diagonal taps and reads diagonals every step).
       info.corner_in[static_cast<int>(c)] = diag_exists && (steps > 1 || box);
       info.corner_local[static_cast<int>(c)] = false;
       continue;
@@ -96,8 +97,9 @@ TileInfo make_tile_info(const TileMap& map, int steps, int radius, bool box,
     const Side col_side = d_tj(c) < 0 ? Side::West : Side::East;
     const bool adjacent_remote = info.side_remote[static_cast<int>(row_side)] ||
                                  info.side_remote[static_cast<int>(col_side)];
-    // Cross shapes read into the ghost corners only while redundantly
-    // computing (steps > 1); box shapes read diagonals on every step.
+    // Cross stencils read into the ghost corners only while redundantly
+    // computing (steps > 1); diagonal-tap stencils read diagonals on every
+    // step.
     info.corner_in[static_cast<int>(c)] =
         diag_exists && diag_remote &&
         (box || (steps > 1 && adjacent_remote));
@@ -108,19 +110,14 @@ TileInfo make_tile_info(const TileMap& map, int steps, int radius, bool box,
 
 /// Immutable per-run context shared by all task bodies.
 ///
-/// Spec-driven problems run in STAGE UNITS: the compiled program's nstages
-/// radius-1 atomic stages replace each original iteration, so the constructor
-/// multiplies both `steps` and `problem.iterations` by nstages and fixes
-/// radius = 1. Every downstream mechanism — superstep gating, ghost depth
-/// radius * steps, the per-step shrink, pack plans, ragged final supersteps —
-/// then works unchanged; only the task bodies know that state buffers carry
-/// ncomp planes and that remote exchanges ship just the nfield field planes
-/// (stage 1 reads only field planes, and intermediates inside the deep ghost
-/// bands are recomputed locally stage by stage — so shipping them would be
-/// pure waste).
+/// Spec-driven problems run their compiled stage once per iteration with
+/// radius = the spec's reach on the decomposed axes and box = diagonal taps:
+/// ghost bands are radius * steps deep, the valid region shrinks by radius
+/// per inner step, and state buffers carry the program's nfield field planes
+/// (one on the classic path).
 struct Shared {
-  /// Derives the run's geometry in the units above and rejects every config
-  /// the builder cannot run. Constructing one IS validate_solve().
+  /// Derives the run's geometry and rejects every config the builder cannot
+  /// run. Constructing one IS validate_solve().
   Shared(const Problem& p, const DistConfig& config)
       : problem(p),
         map(p.rows, p.cols, config.decomp.mb, config.decomp.nb,
@@ -152,15 +149,6 @@ struct Shared {
       throw std::invalid_argument(
           "fused wavefronts (fuse_depth > 1) require kernel_ratio == 1");
     }
-    if (problem.shape && problem.coefficient) {
-      throw std::invalid_argument(
-          "shape and variable coefficients are mutually exclusive");
-    }
-    if (problem.shape) {
-      problem.shape->validate();
-      radius = problem.shape->radius;
-      box = problem.shape->box;
-    }
     if (problem.spec) {
       if (config.kernel_ratio != 1.0) {
         throw std::invalid_argument(
@@ -168,31 +156,27 @@ struct Shared {
       }
       program = std::make_shared<const spec::CompiledProgram>(
           compile_problem_spec(problem));
-      nstages = program->nstages;
       nfield = program->nfield;
-      radius = 1;  // every atomic stage reads one cell deep
+      radius = program->radius;
       box = program->diagonal_taps;
-      problem.iterations *= nstages;
     }
     // Fused wavefronts widen the exchange window: `steps` becomes the full
-    // window (fuse_depth supersteps' worth of stage units) so every
-    // downstream mechanism — ghost depth, superstep gating, shrink, pack
-    // plans — sees one exchange per window. hook_period keeps the ORIGINAL
-    // superstep cadence, so checkpoints/snapshots stay every config.steps
-    // iterations regardless of fusing (fuse-ready tile cores are consistent
-    // at every stage boundary). The window is bounded in 64 bits: steps and
-    // fuse_depth may be any client-supplied int (the solver farm validates
-    // requests here), and an int product can wrap to a window that passes.
+    // window (fuse_depth supersteps) so every downstream mechanism — ghost
+    // depth, superstep gating, shrink, pack plans — sees one exchange per
+    // window. hook_period keeps the ORIGINAL superstep cadence, so
+    // checkpoints/snapshots stay every config.steps iterations regardless of
+    // fusing (fuse-ready tile cores are consistent at every step boundary).
+    // The window is bounded in 64 bits: steps and fuse_depth may be any
+    // client-supplied int (the solver farm validates requests here), and an
+    // int product can wrap to a window that passes.
     const long long window =
-        static_cast<long long>(config.steps) * nstages * config.fuse_depth;
-    // Spec runs compare in stage units (radius 1), i.e. against
-    // ca_ghost_depth.
+        static_cast<long long>(config.steps) * config.fuse_depth;
     if (radius * window > map.min_tile_extent()) {
       throw std::invalid_argument(
           "radius * steps exceeds the smallest tile extent (" +
           std::to_string(map.min_tile_extent()) + ")");
     }
-    hook_period = config.steps * nstages;
+    hook_period = config.steps;
     steps = static_cast<int>(window);
   }
 
@@ -200,13 +184,12 @@ struct Shared {
   TileMap map;
   int steps;
   double ratio;
-  int hook_period = 1;  ///< superstep-hook cadence in stage units
+  int hook_period = 1;  ///< superstep-hook cadence in iterations
   int radius = 1;    ///< stencil reach (1 for the paper's 5-point case)
-  bool box = false;  ///< box-shaped stencil (reads diagonals every step)
-  /// Spec path: compiled atomic-stage program (null = classic 5-point/shape).
+  bool box = false;  ///< diagonal taps (reads diagonals every step)
+  /// Spec path: compiled stage (null = classic 5-point/variable).
   std::shared_ptr<const spec::CompiledProgram> program;
-  int nstages = 1;  ///< stages per original iteration (1 = classic paths)
-  int nfield = 1;   ///< planes remote halo exchange carries
+  int nfield = 1;   ///< planes per state buffer and halo exchange
   SuperstepHook hook;  ///< superstep-boundary snapshot callback (may be empty)
   /// Every tile's static facts, row-major; filled once by the Builder, read
   /// by task bodies for their own and their neighbors' geometry.
@@ -238,12 +221,11 @@ std::size_t step_inputs(const TileInfo& info, bool start, bool variable) {
 }
 
 /// Hand the tile's h x w core (row-major) to the superstep hook. Spec runs
-/// pass the nfield field planes (plane-major) — everything a restart needs,
-/// since intermediates are dead at superstep boundaries.
+/// pass the nfield field planes (plane-major).
 void call_hook(const Shared& shared, const TileInfo& info, int k,
                const double* ext) {
   const TileGeom& g = info.geom;
-  const int planes = shared.program ? shared.nfield : 1;
+  const int planes = shared.nfield;
   std::vector<double> core(static_cast<std::size_t>(planes) * g.h * g.w);
   for (int p = 0; p < planes; ++p) {
     const double* src = ext + static_cast<std::size_t>(p) * g.size();
@@ -463,20 +445,18 @@ class Builder {
       const long gr0 = map.row0(tile_info.ti);
       const long gc0 = map.col0(tile_info.tj);
 
-      const int ncomp = shared->program ? shared->program->ncomp : 1;
-      std::vector<double> ext(static_cast<std::size_t>(ncomp) * g.size());
+      const int nfield = shared->nfield;
+      std::vector<double> ext(static_cast<std::size_t>(nfield) * g.size());
       if (shared->program) {
-        // Spec path: every component at every padded cell gets its derived
-        // initial value — the same spec_init_value the serial oracle uses,
-        // which is what makes the never-recomputed exterior ring partials
-        // agree bit-for-bit.
-        for (int c = 0; c < ncomp; ++c) {
+        // Spec path: every field plane at every padded cell samples the same
+        // spec_sample the serial oracle uses.
+        for (int c = 0; c < nfield; ++c) {
           double* dst = ext.data() + static_cast<std::size_t>(c) * g.size();
           for (int i = -g.gn; i < g.h + g.gs; ++i) {
             for (int j = -g.gw; j < g.w + g.ge; ++j) {
-              dst[g.idx(i, j)] = spec_init_value(*shared->program,
-                                                 shared->problem, c, gr0 + i,
-                                                 gc0 + j);
+              dst[g.idx(i, j)] = spec_sample(*shared->program,
+                                             shared->problem, c, gr0 + i,
+                                             gc0 + j);
             }
           }
         }
@@ -510,8 +490,7 @@ class Builder {
         ctx.publish(kSlotCoeff, std::move(coeff));
       }
       if (shared->hook) call_hook(*shared, tile_info, 0, ext.data());
-      publish_all(ctx, tile_info, plan, depth, std::move(ext),
-                  shared->nfield);
+      publish_all(ctx, tile_info, plan, depth, std::move(ext), nfield);
     };
     return spec;
   }
@@ -611,10 +590,8 @@ class Builder {
       std::vector<double> assembled(prev.begin(), prev.end());
 
       // 2. ...refresh radius-deep local ghost lines (full extended extent),
-      //    then (box shapes / diagonal-tap programs) local corner blocks.
-      //    Local copies carry ALL state planes: a spec stage t > 1 reads the
-      //    neighbor's stage-(t-1) intermediates one cell deep.
-      const int ncomp = shared->program ? shared->program->ncomp : 1;
+      //    then (diagonal-tap stencils) local corner blocks.
+      const int nfield = shared->nfield;
       std::size_t next_input = 1;
       for (Side s : kAllSides) {
         if (!tile_info.side_local[static_cast<int>(s)]) continue;
@@ -622,7 +599,7 @@ class Builder {
             shared->tile(tile_info.ti + d_ti(s), tile_info.tj + d_tj(s));
         copy_local_line_planes(assembled.data(), g, s,
                                ctx.input(next_input).data(), nbr.geom, radius,
-                               ncomp);
+                               nfield);
         ++next_input;
       }
       for (Corner c : kAllCorners) {
@@ -631,25 +608,23 @@ class Builder {
             shared->tile(tile_info.ti + d_ti(c), tile_info.tj + d_tj(c));
         copy_local_corner_planes(assembled.data(), g, c,
                                  ctx.input(next_input).data(), diag.geom,
-                                 ncomp);
+                                 nfield);
         ++next_input;
       }
 
       // 3. ...and at superstep starts overwrite the deep remote bands and
-      //    corners with freshly received data. Remote payloads carry only the
-      //    nfield field planes: stage 1 reads nothing else, and ghost-band
-      //    intermediates are recomputed locally stage by stage.
+      //    corners with freshly received data.
       if (start) {
         for (Side s : kAllSides) {
           if (!tile_info.side_deep[static_cast<int>(s)]) continue;
           unpack_band_planes(assembled.data(), g, s, ctx.input(next_input),
-                             exchange_depth, shared->nfield);
+                             exchange_depth, nfield);
           ++next_input;
         }
         for (Corner c : kAllCorners) {
           if (!tile_info.corner_in[static_cast<int>(c)]) continue;
           unpack_corner_planes(assembled.data(), g, c, ctx.input(next_input),
-                               exchange_depth, shared->nfield);
+                               exchange_depth, nfield);
           ++next_input;
         }
       }
@@ -675,14 +650,10 @@ class Builder {
 
       std::vector<double> out = assembled;  // ring + unwritten cells persist
       if (shared->program) {
-        // Stage (k-1) % nstages of the compiled program; non-output planes
-        // and the static exterior ring were carried by the copy above.
+        // The frozen z-boundary planes and the static exterior ring were
+        // carried by the copy above.
         apply_program_stage(assembled.data(), out.data(), g, *shared->program,
-                            (k - 1) % shared->nstages, r0, r1, c0, c1,
-                            shared->kernel, shared->tuning);
-      } else if (shared->problem.shape) {
-        apply_shape(assembled.data(), out.data(), g, *shared->problem.shape,
-                    r0, r1, c0, c1);
+                            r0, r1, c0, c1, shared->kernel, shared->tuning);
       } else if (variable) {
         const auto coeff = ctx.input(ctx.num_inputs() - 1);
         jacobi5_var(assembled.data(), out.data(), g, coeff.data(), r0, r1, c0,
@@ -698,16 +669,15 @@ class Builder {
           std::memory_order_relaxed);
 
       // The tile is globally consistent again at superstep boundaries — the
-      // natural checkpoint instant. Spec runs report the ORIGINAL iteration
-      // index (k is in stage units there). Fused windows keep the original
-      // cadence: hook_period is the pre-fuse superstep length, and the tile
-      // core is consistent at every one of those interior boundaries (all
-      // deep sides shrink uniformly past the core only at window end).
+      // natural checkpoint instant. Fused windows keep the original cadence:
+      // hook_period is the pre-fuse superstep length, and the tile core is
+      // consistent at every one of those interior boundaries (all deep sides
+      // shrink uniformly past the core only at window end).
       if (shared->hook && k % shared->hook_period == 0) {
-        call_hook(*shared, tile_info, k / shared->nstages, out.data());
+        call_hook(*shared, tile_info, k, out.data());
       }
       publish_all(ctx, tile_info, plan, exchange_depth, std::move(out),
-                  shared->nfield);
+                  nfield);
     };
     return spec;
   }
@@ -757,7 +727,7 @@ Grid2D SolveSubgraph::gather_plane(const rt::Runtime& runtime, int z) const {
   if (z < 0 || z >= nz) {
     throw std::invalid_argument("gather_plane: z out of range");
   }
-  // Spec state buffers hold ncomp planes; z's field plane is zlo + z.
+  // Spec state buffers hold nfield planes; z's field plane is zlo + z.
   const std::size_t plane_off =
       shared.program ? static_cast<std::size_t>(shared.program->zlo + z) : 0;
 
@@ -800,8 +770,8 @@ long long SolveSubgraph::computed_points() const {
 
 int SolveSubgraph::fuse_window() const {
   const Shared& shared = *impl_->builder.shared();
-  // Fuse-ready graphs want one wavefront task per full window of stage-steps
-  // (shared.steps is that window: steps * nstages * fuse_depth).
+  // Fuse-ready graphs want one wavefront task per full window of steps
+  // (shared.steps is that window: steps * fuse_depth).
   return shared.fuse_ready ? shared.steps : 1;
 }
 
@@ -980,8 +950,6 @@ DistResult run_distributed(const Problem& problem, const DistConfig& config) {
     result.planes = subgraph.gather_planes(runtime);
     result.flops_per_point =
         spec::compile_spec(*problem.spec, problem.nz).flops_per_point();
-  } else if (problem.shape) {
-    result.flops_per_point = problem.shape->flops_per_point();
   }
   result.trace_events = runtime.tracer().events();
   result.computed_points = subgraph.computed_points();
@@ -1031,8 +999,8 @@ DistResult run_distributed(const Problem& problem, const DistConfig& config) {
     if (problem.spec) {
       auto spec_info = registry.gauge(
           "stencil_spec_info", {{"spec", problem.spec->name}},
-          "Stencil spec of this run (value = atomic stage count)");
-      spec_info->set(static_cast<double>(spec::stage_count(*problem.spec)));
+          "Stencil spec of this run (value is always 1)");
+      spec_info->set(1.0);
     }
     if (result.stats.wall_time_s > 0.0) {
       auto rate = registry.gauge("stencil_points_per_second", {},

@@ -36,10 +36,9 @@ namespace repro::stencil {
 /// Called as tile (ti,tj) reaches a globally consistent state: after INIT
 /// (k == 0) and after each iteration k with k % steps == 0. `core` is the
 /// tile's h x w interior, row-major (spec-driven runs pass the program's
-/// nfield field planes, plane-major — nfield * h * w values — and k counts
-/// ORIGINAL iterations, not atomic stages). Invoked concurrently from worker
-/// threads — the callee must be thread-safe. Used by the fault subsystem to
-/// checkpoint at CA superstep boundaries.
+/// nfield field planes, plane-major — nfield * h * w values). Invoked
+/// concurrently from worker threads — the callee must be thread-safe. Used by
+/// the fault subsystem to checkpoint at CA superstep boundaries.
 using SuperstepHook =
     std::function<void(int k, int ti, int tj, const std::vector<double>& core)>;
 
@@ -56,15 +55,15 @@ struct DistConfig {
   /// Cross-node temporal blocking: fuse this many consecutive CA supersteps
   /// into one pipelined wavefront per tile (rt::fuse_supersteps, DESIGN.md
   /// §17). With fuse_depth = f > 1 the builder emits a FUSE-READY graph —
-  /// every neighbor side carries a (steps * f)-deep ghost band, cross-tile
-  /// edges exist only at window boundaries — and the driver rewrites the
-  /// per-step task chains so each window of steps * f stage-steps runs
-  /// cache-resident inside one task. Remote halo exchanges collapse to one
+  /// every neighbor side carries a (radius * steps * f)-deep ghost band,
+  /// cross-tile edges exist only at window boundaries — and the driver
+  /// rewrites the per-step task chains so each window of steps * f steps
+  /// runs cache-resident inside one task. Remote halo exchanges collapse to one
   /// per f supersteps (deeper bands, more redundant recompute — the CA
   /// trade, taken f times further). Composes with every kernel variant,
   /// specs, schedulers, persistent channels, and the fault stack; results
   /// stay bit-identical to the serial reference. Requires kernel_ratio == 1
-  /// and radius * steps * f (stage units) within the smallest tile extent.
+  /// and radius * steps * f within the smallest tile extent.
   int fuse_depth = 1;
   double kernel_ratio = 1.0;  ///< <1 = simulated faster kernel (timing only)
   int workers_per_rank = 1;
@@ -73,8 +72,8 @@ struct DistConfig {
   rt::SchedPolicy scheduler = rt::SchedPolicy::PriorityFifo;
   /// Per-destination-node message aggregation (see rt::Config).
   bool aggregate_messages = false;
-  /// Compute-kernel variant for the constant-coefficient 5-point path
-  /// (shape/coefficient problems always use their dedicated kernels). A
+  /// Compute-kernel variant for the constant-coefficient 5-point and spec
+  /// paths (coefficient problems always use their dedicated kernel). A
   /// variant only changes the inner sweep — the task graph is unchanged and
   /// results stay bit-identical to the serial reference. Running several
   /// steps per task is fuse_depth's job, not the kernel's.
@@ -139,13 +138,11 @@ struct DistResult {
   /// Spec-driven runs: all nz interior z planes (planes[0] == grid); empty
   /// on the classic paths.
   std::vector<Grid2D> planes;
-  /// Stencil points updated (incl. redundant). Spec runs count STAGE cell
-  /// updates (one per atomic stage per cell), matching the stage-averaged
-  /// flops_per_point below.
+  /// Stencil points updated (incl. redundant); spec runs count one update
+  /// per 2D cell, all z planes together, matching flops_per_point below.
   long long computed_points = 0;
-  long long nominal_points = 0;   ///< rows*cols*iterations (no redundancy;
-                                  ///< spec runs: iterations * stages basis)
-  double flops_per_point = kFlopsPerPoint;  ///< 9 for 5-point; shape/spec-derived
+  long long nominal_points = 0;   ///< rows*cols*iterations (no redundancy)
+  double flops_per_point = kFlopsPerPoint;  ///< 9 for 5-point; spec-derived
   /// Scrape point for the run's metric families (never null after
   /// run_distributed returns).
   std::shared_ptr<obs::MetricsRegistry> metrics{};
@@ -166,11 +163,10 @@ struct DistResult {
 
 /// Throws std::invalid_argument unless the builder can run `problem` under
 /// `config`: a sound tile/node grid, steps and fuse_depth >= 1, radius *
-/// steps * fuse_depth (stage units for specs) within the smallest tile
-/// extent, a legal kernel_ratio, a valid shape/spec and an in-range
-/// key_space. add_solve_subgraph and run_distributed run exactly these
-/// checks; callers such as the solver farm use it to reject a request
-/// before building anything.
+/// steps * fuse_depth within the smallest tile extent, a legal kernel_ratio,
+/// a valid spec and an in-range key_space. add_solve_subgraph and
+/// run_distributed run exactly these checks; callers such as the solver farm
+/// use it to reject a request before building anything.
 void validate_solve(const Problem& problem, const DistConfig& config);
 
 /// Run the distributed solver. Validates the config as validate_solve does.

@@ -89,13 +89,14 @@ void copy_local_line(double* ext, const TileGeom& g, Side side,
 
 /// Refresh this tile's ghost corner region at `corner` (gn x gw cells etc.)
 /// from the same-node DIAGONAL neighbor's core corner — needed every step by
-/// box-shaped stencils, whose points read diagonal neighbors directly.
+/// stencils with diagonal taps, whose points read diagonal neighbors
+/// directly.
 void copy_local_corner(double* ext, const TileGeom& g, Corner corner,
                        const double* diag, const TileGeom& dg);
 
 // ------------------------------------------------------- multi-plane variants
 //
-// Spec-driven tiles hold ncomp planes of g.size() doubles each (plane p of
+// Spec-driven tiles hold nfield planes of g.size() doubles each (plane p of
 // buffer `ext` starts at ext + p * g.size()). These variants apply the
 // single-plane operation to the first `nplanes` planes, packing/unpacking
 // payloads plane-major (plane 0's band first). The single-plane functions are

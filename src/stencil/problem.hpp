@@ -9,7 +9,6 @@
 #include "spec/stencil_spec.hpp"
 #include "stencil/grid.hpp"
 #include "stencil/kernel.hpp"
-#include "stencil/shape.hpp"
 
 namespace repro::stencil {
 
@@ -33,13 +32,10 @@ struct Problem {
   /// When set, the stencil is variable-coefficient: `weights` is ignored and
   /// every point uses coefficient(i, j).
   CoeffFn coefficient;
-  /// When set, a general cross/box stencil shape is used instead of the
-  /// 5-point `weights` (mutually exclusive with `coefficient`).
-  std::optional<StencilShape> shape;
-  /// When set, the solve runs the spec's compiled atomic-stage program
-  /// (spec/stages.hpp): every spec — any rank, radius, or point subset —
-  /// executes as chained radius-1 multi-component stages. Mutually exclusive
-  /// with `shape` and `coefficient`; requires initial3/boundary3.
+  /// When set, the solve runs the spec's compiled stage (spec/stages.hpp):
+  /// every spec — any rank, radius, or point subset — executes as one direct
+  /// sweep with radius-deep halos. Mutually exclusive with `coefficient`;
+  /// requires initial3/boundary3.
   std::optional<spec::StencilSpec> spec;
   int nz = 1;             ///< interior z planes (rank-3 specs only)
   CellFn3 initial3;       ///< spec path: interior initial condition u0(i,j,z)

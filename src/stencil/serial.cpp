@@ -53,44 +53,15 @@ void serial_sweep_var(const Grid2D& in, Grid2D& out, const CoeffFn& coeff) {
   }
 }
 
-Grid2D solve_serial_shape(const Problem& problem) {
-  const StencilShape& shape = *problem.shape;
-  shape.validate();
-  const int r = shape.radius;
-  const TileGeom g{problem.rows, problem.cols, r, r, r, r};
-
-  std::vector<double> current(g.size());
-  for (int i = -r; i < problem.rows + r; ++i) {
-    for (int j = -r; j < problem.cols + r; ++j) {
-      const bool inside = i >= 0 && i < problem.rows && j >= 0 &&
-                          j < problem.cols;
-      current[g.idx(i, j)] =
-          inside ? problem.initial(i, j) : problem.boundary(i, j);
-    }
-  }
-  std::vector<double> next = current;
-  for (int iter = 0; iter < problem.iterations; ++iter) {
-    apply_shape(current.data(), next.data(), g, shape, 0, problem.rows, 0,
-                problem.cols);
-    std::swap(current, next);
-  }
-
-  Grid2D grid(problem.rows, problem.cols);
-  grid.fill([&](long i, long j) { return current[g.idx(static_cast<int>(i),
-                                                       static_cast<int>(j))]; },
-            problem.boundary);
-  return grid;
-}
-
 Grid2D solve_serial_opt(const Problem& problem, KernelVariant variant,
                         const KernelTuning& tuning) {
-  if (problem.shape || problem.coefficient) {
+  if (problem.coefficient) {
     throw std::invalid_argument(
         "solve_serial_opt supports only the plain constant-coefficient "
         "5-point stencil");
   }
 
-  // One ring-padded "tile" covering the whole grid, like solve_serial_shape.
+  // One ring-padded "tile" covering the whole grid.
   const TileGeom g{problem.rows, problem.cols, 1, 1, 1, 1};
   std::vector<double> current(g.size());
   for (int i = -1; i < problem.rows + 1; ++i) {
@@ -116,13 +87,12 @@ Grid2D solve_serial_opt(const Problem& problem, KernelVariant variant,
 }
 
 Grid2D solve_serial(const Problem& problem) {
-  // Spec-driven problems run the compiled atomic-stage program (the bit-exact
-  // oracle for the spec-driven distributed path); z plane 0 is the field.
+  // Spec-driven problems run the compiled stage (the bit-exact oracle for
+  // the spec-driven distributed path); z plane 0 is the field.
   if (problem.spec) {
     std::vector<Grid2D> planes = solve_serial_spec(problem);
     return std::move(planes.front());
   }
-  if (problem.shape) return solve_serial_shape(problem);
 
   Grid2D current(problem.rows, problem.cols);
   Grid2D next(problem.rows, problem.cols);

@@ -9,16 +9,15 @@
 
 namespace repro::stencil {
 
-/// Run `problem.iterations` Jacobi sweeps and return the final grid.
-/// Shape problems dispatch to solve_serial_shape; spec problems run the
-/// compiled atomic-stage program (solve_serial_spec in spec_kernel.hpp) and
-/// return its z plane 0.
+/// Run `problem.iterations` Jacobi sweeps and return the final grid. Spec
+/// problems run the compiled stage (solve_serial_spec in spec_kernel.hpp)
+/// and return its z plane 0.
 Grid2D solve_serial(const Problem& problem);
 
 /// Serial solve through an optimized kernel variant (kernel_opt.hpp): one
 /// sweep of the whole interior per iteration, bit-identical to
 /// solve_serial. Only the plain constant-coefficient problem is supported;
-/// shape/coefficient problems throw.
+/// coefficient problems throw.
 Grid2D solve_serial_opt(const Problem& problem, KernelVariant variant,
                         const KernelTuning& tuning = {});
 
@@ -28,10 +27,5 @@ void serial_sweep(const Grid2D& in, Grid2D& out, const Stencil5& weights);
 /// Variable-coefficient sweep; evaluation order per point matches the
 /// constant-weight sweep, so constant planes give bit-identical results.
 void serial_sweep_var(const Grid2D& in, Grid2D& out, const CoeffFn& coeff);
-
-/// Serial reference for general shapes: runs on a radius-padded buffer whose
-/// ghost ring (depth = shape.radius) holds `boundary` values. Used by
-/// solve_serial when problem.shape is set.
-Grid2D solve_serial_shape(const Problem& problem);
 
 }  // namespace repro::stencil

@@ -10,10 +10,9 @@ spec::CompiledProgram compile_problem_spec(const Problem& problem) {
   if (!problem.spec) {
     throw std::invalid_argument("compile_problem_spec: problem has no spec");
   }
-  if (problem.shape || problem.coefficient) {
+  if (problem.coefficient) {
     throw std::invalid_argument(
-        "compile_problem_spec: spec is mutually exclusive with shape and "
-        "coefficient");
+        "compile_problem_spec: spec is mutually exclusive with coefficient");
   }
   if (!problem.initial3 || !problem.boundary3) {
     throw std::invalid_argument(
@@ -33,30 +32,11 @@ double spec_sample(const spec::CompiledProgram& prog, const Problem& problem,
   return inside ? problem.initial3(gi, gj, z) : problem.boundary3(gi, gj, z);
 }
 
-double spec_init_value(const spec::CompiledProgram& prog,
-                       const Problem& problem, int comp, long gi, long gj) {
-  const bool interior2d =
-      gi >= 0 && gi < problem.rows && gj >= 0 && gj < problem.cols;
-  if (interior2d) {
-    // Field planes sample the field (z-ghost planes resolve to boundary3 via
-    // spec_sample); intermediates are dead on the interior — stage 1 rewrites
-    // them before any read — so 0 keeps the buffers deterministic.
-    return comp < prog.nfield ? spec_sample(prog, problem, comp, gi, gj) : 0.0;
-  }
-  // Exterior: the component's static pad rule. Term order pins the rounding
-  // sequence; serial and distributed inits both run this exact loop.
-  double acc = 0.0;
-  for (const spec::ExteriorTerm& t : prog.pad[comp]) {
-    acc += t.w * spec_sample(prog, problem, t.z, gi + t.di, gj + t.dj);
-  }
-  return acc;
-}
-
 namespace {
 
-// One output of one stage over a row range, apply_shape's idiom: linear tap
-// deltas precomputed per call, per-point accumulation "w0*x0 then += wk*xk"
-// in listed order with every multiply and add individually rounded.
+// One output plane over a row range: linear tap deltas precomputed per call,
+// per-point accumulation "w0*x0 then += wk*xk" in listed order with every
+// multiply and add individually rounded.
 void apply_output(const double* in, double* out, const TileGeom& geom,
                   const spec::StageOutput& output, int r0, int r1, int c0,
                   int c1) {
@@ -67,12 +47,12 @@ void apply_output(const double* in, double* out, const TileGeom& geom,
   std::vector<double> w(n);
   for (std::size_t k = 0; k < n; ++k) {
     const spec::StageTap& t = output.taps[k];
-    deltas[k] = static_cast<std::ptrdiff_t>(t.in_comp) *
+    deltas[k] = static_cast<std::ptrdiff_t>(t.plane) *
                     static_cast<std::ptrdiff_t>(plane) +
                 static_cast<std::ptrdiff_t>(t.di) * ld + t.dj;
     w[k] = t.w;
   }
-  double* out_plane = out + static_cast<std::size_t>(output.comp) * plane;
+  double* out_plane = out + static_cast<std::size_t>(output.plane) * plane;
 
   for (int i = r0; i < r1; ++i) {
     const std::size_t row = geom.idx(i, 0);
@@ -91,15 +71,12 @@ void apply_output(const double* in, double* out, const TileGeom& geom,
 }  // namespace
 
 void apply_program_stage(const double* in, double* out, const TileGeom& geom,
-                         const spec::CompiledProgram& prog, int stage_idx,
-                         int r0, int r1, int c0, int c1, KernelVariant kernel,
+                         const spec::CompiledProgram& prog, int r0, int r1,
+                         int c0, int c1, KernelVariant kernel,
                          const KernelTuning& tuning) {
-  if (stage_idx < 0 || stage_idx >= prog.nstages) {
-    throw std::invalid_argument("apply_program_stage: stage out of range");
-  }
   if (prog.star5) {
-    // Recognized classic 5-point program: single stage, single component, tap
-    // order (c,n,s,w,e) — dispatch the classic kernels (bit-identical to the
+    // Recognized classic 5-point program: single plane, tap order
+    // (c,n,s,w,e) — dispatch the classic kernels (bit-identical to the
     // generic loop by the repo-wide per-point rounding rule).
     const auto& s5 = *prog.star5;
     const Stencil5 weights{s5[0], s5[1], s5[2], s5[3], s5[4]};
@@ -111,21 +88,20 @@ void apply_program_stage(const double* in, double* out, const TileGeom& geom,
     return;
   }
 
-  const spec::Stage& stage = prog.stages[static_cast<std::size_t>(stage_idx)];
   if (kernel == KernelVariant::Scalar || r1 - r0 <= tuning.block_rows) {
-    for (const spec::StageOutput& output : stage.outputs) {
+    for (const spec::StageOutput& output : prog.outputs) {
       apply_output(in, out, geom, output, r0, r1, c0, c1);
     }
     return;
   }
   // Blocked traversal (Vector degenerates to it for generic programs):
-  // row-band blocking keeps all ncomp input planes' working rows
-  // resident; traversal order cannot change bits (Jacobi stages have no
+  // row-band blocking keeps all nfield input planes' working rows
+  // resident; traversal order cannot change bits (Jacobi sweeps have no
   // cross-point ordering).
   const int br = std::max(1, tuning.block_rows);
   for (int i0 = r0; i0 < r1; i0 += br) {
     const int i1 = std::min(r1, i0 + br);
-    for (const spec::StageOutput& output : stage.outputs) {
+    for (const spec::StageOutput& output : prog.outputs) {
       apply_output(in, out, geom, output, i0, i1, c0, c1);
     }
   }
@@ -139,29 +115,26 @@ std::vector<Grid2D> solve_serial_spec(const Problem& problem) {
     throw std::invalid_argument("solve_serial_spec: empty interior");
   }
 
-  // One ring-padded "tile" covering the whole grid (each stage reads one cell
-  // deep, so a depth-1 ring suffices), ncomp planes deep.
-  const TileGeom g{rows, cols, 1, 1, 1, 1};
+  // One radius-padded "tile" covering the whole grid, nfield planes deep.
+  // Both buffers start identical and each sweep rewrites only the interior
+  // of the output planes, so the ring and the frozen z-boundary planes carry
+  // over without copies.
+  const int r = prog.radius;
+  const TileGeom g{rows, cols, r, r, r, r};
   const std::size_t plane = g.size();
-  std::vector<double> current(static_cast<std::size_t>(prog.ncomp) * plane);
-  for (int c = 0; c < prog.ncomp; ++c) {
+  std::vector<double> current(static_cast<std::size_t>(prog.nfield) * plane);
+  for (int c = 0; c < prog.nfield; ++c) {
     double* dst = current.data() + static_cast<std::size_t>(c) * plane;
-    for (int i = -1; i <= rows; ++i) {
-      for (int j = -1; j <= cols; ++j) {
-        dst[g.idx(i, j)] = spec_init_value(prog, problem, c, i, j);
+    for (int i = -r; i < rows + r; ++i) {
+      for (int j = -r; j < cols + r; ++j) {
+        dst[g.idx(i, j)] = spec_sample(prog, problem, c, i, j);
       }
     }
   }
   std::vector<double> next = current;
-
-  // iterations * nstages atomic stage applications, cycling through the
-  // program — the SAME schedule and kernel the distributed driver runs.
-  // The full-buffer copy carries non-output components and the static ring.
-  const long total = static_cast<long>(problem.iterations) * prog.nstages;
-  for (long k = 0; k < total; ++k) {
-    std::copy(current.begin(), current.end(), next.begin());
-    apply_program_stage(current.data(), next.data(), g, prog,
-                        static_cast<int>(k % prog.nstages), 0, rows, 0, cols);
+  for (int k = 0; k < problem.iterations; ++k) {
+    apply_program_stage(current.data(), next.data(), g, prog, 0, rows, 0,
+                        cols);
     std::swap(current, next);
   }
 

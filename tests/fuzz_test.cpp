@@ -250,7 +250,7 @@ TEST(FuzzSpecStencil, RandomSpecsMatchSerial) {
   // Random stencil SPECS (random rank, radius, point set, weights) through
   // random decompositions/schedulers: every accepted run must match the
   // spec's own serial oracle bit-for-bit on EVERY z plane; step sizes whose
-  // staged ghost depth exceeds the smallest tile must throw. On failure the
+  // ghost depth exceeds the smallest tile must throw. On failure the
   // trace prints the seed and the spec literal — paste the literal into a
   // unit test to reproduce without the fuzz harness.
   const char* env = std::getenv("REPRO_SPEC_FUZZ_ROUNDS");
@@ -280,11 +280,11 @@ TEST(FuzzSpecStencil, RandomSpecsMatchSerial) {
     config.decomp = {mb, nb, node_rows, node_cols};
     config.steps = 1 + static_cast<int>(rng.next_below(3));
     // Bound-aware fuse draw: random specs already reject plenty of rounds on
-    // steps * stages alone, so cap the fused window to what could fit and
+    // radius * steps alone, so cap the fused window to what could fit and
     // let the steps draw keep the rejection path covered.
+    const int radius = std::max(1, sp.radius_xy());
     const int max_fuse =
-        std::max(1, map.min_tile_extent() /
-                        std::max(1, config.steps * spec::stage_count(sp)));
+        std::max(1, map.min_tile_extent() / (config.steps * radius));
     config.fuse_depth = 1 + static_cast<int>(rng.next_below(
                                 static_cast<std::uint64_t>(
                                     std::min(max_fuse, 3))));
@@ -305,11 +305,9 @@ TEST(FuzzSpecStencil, RandomSpecsMatchSerial) {
                  sp.to_literal() + " " + std::to_string(rows) + "x" +
                  std::to_string(cols) + " nz=" + std::to_string(nz));
 
-    // The spec path runs radius-1 stage units with steps multiplied by the
-    // stage count (and the fused window multiplies again), so the acceptance
-    // bound is steps * stages * fuse_depth.
-    if (config.steps * spec::stage_count(sp) * config.fuse_depth >
-        map.min_tile_extent()) {
+    // Ghost bands are radius * steps * fuse_depth deep; the builder rejects
+    // any deeper than the smallest tile extent.
+    if (radius * config.steps * config.fuse_depth > map.min_tile_extent()) {
       EXPECT_THROW(run_distributed(problem, config), std::invalid_argument);
       continue;
     }

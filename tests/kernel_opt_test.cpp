@@ -129,7 +129,7 @@ TEST(SolveSerialOpt, AllVariantsMatchSolveSerial) {
   }
 }
 
-TEST(SolveSerialOpt, RejectsShapeAndCoefficientProblems) {
+TEST(SolveSerialOpt, RejectsCoefficientProblems) {
   Problem coeff_problem = random_problem(8, 8, 2);
   coeff_problem.coefficient = [](long, long) {
     return std::array<double, kCoeffPlanes>{0.2, 0.2, 0.2, 0.2, 0.2};

@@ -120,10 +120,28 @@ RunReport tiny_report() {
   return report;
 }
 
+Json spec_descriptor(bool with_radius = true) {
+  Json descriptor = Json::object();
+  descriptor["name"] = Json("star9");
+  descriptor["rank"] = Json(2);
+  if (with_radius) descriptor["radius"] = Json(2);
+  descriptor["points"] = Json(9);
+  return descriptor;
+}
+
 TEST(RunReportTest, ValidatesAgainstSchema) {
   const std::string text = tiny_report().to_string();
   std::string error;
   EXPECT_TRUE(validate_run_report(text, &error)) << error;
+
+  // A stencil_spec block needs name, rank, radius and points; extra keys
+  // (such as the "stages" older reports carry) are accepted.
+  RunReport spec_report = tiny_report();
+  spec_report.add_stencil_spec(spec_descriptor());
+  Json older = spec_descriptor();
+  older["stages"] = Json(2);
+  spec_report.add_stencil_spec(std::move(older));
+  EXPECT_TRUE(validate_run_report(spec_report.to_string(), &error)) << error;
 }
 
 TEST(RunReportTest, ValidatorRejectsBadDocuments) {
@@ -146,6 +164,11 @@ TEST(RunReportTest, ValidatorRejectsBadDocuments) {
       R"("results":[{"nested":{}}],)"
       R"("metrics":{"counters":[],"gauges":[],"histograms":[]},"derived":{}})",
       &error));
+  // A stencil_spec descriptor without its radius.
+  RunReport no_radius = tiny_report();
+  no_radius.add_stencil_spec(spec_descriptor(/*with_radius=*/false));
+  EXPECT_FALSE(validate_run_report(no_radius.to_string(), &error));
+  EXPECT_NE(error.find("radius"), std::string::npos);
   // Non-finite number arrives as null after serialization -> rejected.
   RunReport bad = tiny_report();
   bad.set_derived("oops", Json(1.0 / 0.0));

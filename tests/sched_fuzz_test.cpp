@@ -138,9 +138,9 @@ void run_variant_sweep(const Variant& variant) {
   }
 }
 
-// Spec-driven problems ride the same adversarial schedule pool: the staged
-// programs add multi-plane state, per-stage local exchanges, and (for box
-// specs) corner messages — all of which must stay bit-identical to
+// Spec-driven problems ride the same adversarial schedule pool: spec
+// programs add multi-plane state, radius-deep halos, and (for box specs)
+// corner messages — all of which must stay bit-identical to
 // solve_serial_spec under every schedule on every z plane.
 void run_spec_sweep(const spec::StencilSpec& sp, int nz, int steps,
                     bool persistent = false, int fuse = 1) {

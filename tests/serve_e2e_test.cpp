@@ -310,8 +310,8 @@ SolveRequest star9_request(int steps) {
 }
 
 TEST(SolverFarm, SpecRequestsAreCheckedByTheBuildersRules) {
-  // star9 compiles to two radius-1 stages per iteration, so steps 4 needs an
-  // 8-deep ghost band on 6-wide tiles. The farm runs the builder's own
+  // star9 reads 2 cells deep, so steps 4 needs an 8-deep ghost band on
+  // 6-wide tiles. The farm runs the builder's own
   // validation and rejects it up front instead of failing it in its wave.
   SolverFarm farm(small_farm_config());
   EXPECT_EQ(farm.submit(star9_request(/*steps=*/4)).rejected,

@@ -207,11 +207,11 @@ TEST_P(SimVsReal, FusedTrafficAgreesExactly) {
 }
 
 // Spec-driven cross-check: the simulator's neighbor-set parameterization
-// (per-spec corner gating, stage-unit supersteps, field-plane payload
-// scaling) must reproduce the real driver's traffic exactly. box9 at
-// steps=1 is the sharp case — diagonal taps force corner messages every
-// superstep even without CA fusing, which the 5-point model never does;
-// star9 exercises the stage-doubled superstep count; heat3d the multi-plane
+// (per-spec corner gating, radius-deep bands, field-plane payload scaling)
+// must reproduce the real driver's traffic exactly. box9 at steps=1 is the
+// sharp case — diagonal taps force corner messages every superstep even
+// without CA fusing, which the 5-point model never does; star9 exercises
+// 2-deep bands, with corners only once steps > 1; heat3d the multi-plane
 // payload widths.
 TEST(SimVsRealSpec, SpecTrafficAgreesExactly) {
   struct SpecCase {
@@ -221,6 +221,7 @@ TEST(SimVsRealSpec, SpecTrafficAgreesExactly) {
   };
   const SpecCase cases[] = {{spec::StencilSpec::box9(), 1, 1},
                             {spec::StencilSpec::box9(), 1, 3},
+                            {spec::StencilSpec::star9(), 1, 1},
                             {spec::StencilSpec::star9(), 1, 2},
                             {spec::StencilSpec::heat3d(), 2, 2}};
   for (const SpecCase& c : cases) {
@@ -248,8 +249,8 @@ TEST(SimVsRealSpec, SpecTrafficAgreesExactly) {
             sizeof(std::uint64_t);
     EXPECT_DOUBLE_EQ(real_payload, sim_payload);
     // The modeled redundant-compute volume must match the driver's
-    // stage-unit accounting too, not just the wire traffic (both normalize
-    // by N^2 * iterations * stages).
+    // accounting too, not just the wire traffic (both normalize by
+    // N^2 * iterations).
     EXPECT_DOUBLE_EQ(real.redundancy(), simulated.redundant_fraction);
 
     // The persistent wire schedule must agree exactly too — the sharp part

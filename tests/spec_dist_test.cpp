@@ -1,12 +1,16 @@
 // End-to-end distributed equivalence for spec-driven problems: every named
 // spec (and a handful of random ones) run through run_distributed must match
 // solve_serial_spec bit-for-bit on every z plane, under both schedulers and
-// the optimized kernels, in base (steps=1) and CA (steps>1) mode. The star5
-// spec must additionally reproduce the LEGACY hard-wired solver exactly —
-// same field bytes, same message and byte counts.
+// the optimized kernels, in base (steps=1) and CA (steps>1) mode. Radius-r
+// cross and box point sets pin the wide-stencil CA geometry: r*s-deep ghosts,
+// an r-per-step shrink and diagonal flows. The star5 spec must additionally
+// reproduce the LEGACY hard-wired solver exactly — same field bytes, same
+// message and byte counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "equivalence_helpers.hpp"
@@ -29,6 +33,37 @@ DistConfig small_config(int steps, rt::SchedPolicy sched,
   config.scheduler = sched;
   config.kernel = kernel;
   return config;
+}
+
+// Radius-r cross (box = false) or box stencil as a literal point set, listed
+// center; (-k,0), (k,0), (0,-k), (0,k) for k = 1..r; then, for boxes, the
+// off-axis cells row-major. Distinct contractive weights (sum 0.9), so index
+// bugs and transpositions change the answer.
+spec::StencilSpec cross_or_box(int r, bool box) {
+  spec::StencilSpec sp;
+  sp.name = (box ? "box" : "cross") + std::to_string(r);
+  sp.points.push_back({{0, 0, 0}, 0.0});
+  for (int k = 1; k <= r; ++k) {
+    for (const auto& [di, dj] :
+         {std::pair{-k, 0}, std::pair{k, 0}, std::pair{0, -k},
+          std::pair{0, k}}) {
+      sp.points.push_back({{di, dj, 0}, 0.0});
+    }
+  }
+  if (box) {
+    for (int di = -r; di <= r; ++di) {
+      for (int dj = -r; dj <= r; ++dj) {
+        if (di != 0 && dj != 0) sp.points.push_back({{di, dj, 0}, 0.0});
+      }
+    }
+  }
+  double sum = 0.0;
+  for (std::size_t k = 0; k < sp.points.size(); ++k) {
+    sp.points[k].coeff = 1.0 + 0.37 * static_cast<double>((k * 7) % 11);
+    sum += sp.points[k].coeff;
+  }
+  for (spec::StencilPoint& p : sp.points) p.coeff *= 0.9 / sum;
+  return sp;
 }
 
 // Thin wrapper over the shared oracle helper: runs the distributed solve and
@@ -80,8 +115,8 @@ TEST(SpecDist, PersistentChannelBitExactForNamedSpecs) {
 }
 
 TEST(SpecDist, FusedWavefrontBitExactForNamedSpecs) {
-  // Fused wavefronts on the spec front end: every named spec whose window
-  // (stage_count * fuse) fits the smallest tile extent (8 here) runs through
+  // Fused wavefronts on the spec front end: every named spec whose ghost
+  // depth (radius * fuse) fits the smallest tile extent (8 here) runs through
   // the fuse-ready builder + rt::fuse_supersteps and must stay bit-exact on
   // every z plane — under both schedulers, and composed with the persistent
   // wire (routes survive the rewrite because window-boundary publishes keep
@@ -90,9 +125,9 @@ TEST(SpecDist, FusedWavefrontBitExactForNamedSpecs) {
     const spec::StencilSpec sp = spec::spec_by_name(name);
     const int nz = sp.rank == 3 ? 3 : 1;
     const Problem problem = spec_problem(sp, 24, 22, 6, nz, 11);
-    const int stages = spec::stage_count(sp);
+    const int radius = std::max(1, sp.radius_xy());
     for (int fuse : {2, 3}) {
-      if (stages * fuse > 8) continue;
+      if (radius * fuse > 8) continue;
       for (rt::SchedPolicy sched :
            {rt::SchedPolicy::PriorityFifo, rt::SchedPolicy::WorkStealing}) {
         DistConfig config = small_config(1, sched);
@@ -155,25 +190,115 @@ TEST(SpecDist, Star5SpecMatchesLegacyDistExactly) {
 
 TEST(SpecDist, CornerMessagesFollowDiagonalTaps) {
   // box9 (diagonal taps) exchanges corners every superstep even at steps=1;
-  // star9 (cross) needs no corners at steps=1 despite its 2-stage chain.
+  // star9 (cross) needs no corners at steps=1: it sends star5's messages,
+  // with 2-deep bands, and runs one task per tile per iteration.
   const DistConfig base = small_config(1, rt::SchedPolicy::PriorityFifo);
-  const Problem star9 =
-      spec_problem(spec::StencilSpec::star9(), 24, 22, 4, 1, 11);
-  const Problem box9 =
-      spec_problem(spec::StencilSpec::box9(), 24, 22, 4, 1, 11);
-  const DistResult rs = run_distributed(star9, base);
-  const DistResult rb = run_distributed(box9, base);
-  // star9 runs 2 stage-units per iteration with face bands only; box9 runs
-  // 1 stage-unit with faces + corners. Both must beat/meet the serial
-  // reference regardless — exactness is covered above; here we pin traffic.
-  EXPECT_GT(rb.stats.messages, 0u);
-  EXPECT_GT(rs.stats.messages, 0u);
-  // Corner payloads exist only for box9: with equal supersteps a cross spec
-  // sends 4 faces/tile-exchange, the box adds its diagonals.
-  const Problem star5 =
-      spec_problem(spec::StencilSpec::star5(), 24, 22, 4, 1, 11);
-  const DistResult r5 = run_distributed(star5, base);
-  EXPECT_GT(rb.stats.messages, r5.stats.messages);
+  const DistResult r5 = run_distributed(
+      spec_problem(spec::StencilSpec::star5(), 24, 22, 4, 1, 11), base);
+  const DistResult rs = run_distributed(
+      spec_problem(spec::StencilSpec::star9(), 24, 22, 4, 1, 11), base);
+  const DistResult rb = run_distributed(
+      spec_problem(spec::StencilSpec::box9(), 24, 22, 4, 1, 11), base);
+  EXPECT_EQ(r5.stats.messages, 40u);
+  EXPECT_EQ(rs.stats.tasks_executed, 30u);
+  EXPECT_EQ(rs.stats.messages, 40u);
+  EXPECT_EQ(rs.stats.bytes, 8128u);
+  EXPECT_EQ(rb.stats.messages, 72u);
+
+  // 12^2 on 2x2 nodes, one 6x6 tile each: a cross sends 2 remote bands per
+  // tile per round (8 per round, 4 rounds); the box adds 1 remote diagonal
+  // per tile (+4 corners per round).
+  DistConfig one_tile;
+  one_tile.decomp = {6, 6, 2, 2};
+  const DistResult c5 = run_distributed(
+      spec_problem(spec::StencilSpec::star5(), 12, 12, 4), one_tile);
+  const DistResult c9 = run_distributed(
+      spec_problem(spec::StencilSpec::star9(), 12, 12, 4), one_tile);
+  const DistResult b9 = run_distributed(
+      spec_problem(spec::StencilSpec::box9(), 12, 12, 4), one_tile);
+  EXPECT_EQ(c5.stats.messages, 8u * 4);
+  EXPECT_EQ(c9.stats.messages, 8u * 4);
+  EXPECT_EQ(c9.stats.bytes, 4864u);
+  EXPECT_EQ(b9.stats.messages, 12u * 4);
+}
+
+/// One cross_or_box stencil on an n^2 grid of tile^2 tiles over a
+/// nodes x nodes grid.
+struct WideCase {
+  int radius;
+  bool box;
+  int n, iters, tile, nodes, steps;
+};
+
+TEST(SpecDist, CrossAndBoxGeometriesMatchSerial) {
+  // Wide-stencil CA geometry over literal point sets: radius-r halos every
+  // step at steps 1, r*s-deep ghosts shrinking r per step at steps > 1, and
+  // diagonal flows (local and remote) for boxes.
+  const WideCase cases[] = {
+      {2, false, 24, 5, 6, 2, 1},  // radius-2 cross, base
+      {2, false, 24, 7, 8, 2, 3},  // radius-2 cross, CA
+      {2, false, 24, 6, 8, 3, 2},
+      {3, false, 27, 5, 9, 3, 2},  // radius-3 cross, all sides remote
+      {2, false, 24, 9, 8, 2, 4},  // radius * steps == tile
+      {1, true, 16, 5, 4, 1, 1},   // box9, single node: local diagonals only
+      {1, true, 16, 6, 4, 2, 1},   // box9, base: remote corners every step
+      {1, true, 20, 8, 5, 2, 3},   // box9, CA
+      {1, true, 18, 7, 6, 3, 2},   // one tile per node: every corner remote
+      {2, true, 24, 6, 8, 2, 2},   // radius-2 box (25 points), CA
+      {2, true, 24, 5, 8, 3, 1},   // radius-2 box, base
+  };
+  for (const WideCase& c : cases) {
+    const spec::StencilSpec sp = cross_or_box(c.radius, c.box);
+    const Problem problem = spec_problem(sp, c.n, c.n, c.iters);
+    DistConfig config;
+    config.decomp = {c.tile, c.tile, c.nodes, c.nodes};
+    config.steps = c.steps;
+    config.workers_per_rank = 2;
+    const DistResult d = run_distributed(problem, config);
+    EXPECT_TRUE(test_support::planes_match(solve_serial_spec(problem), d))
+        << sp.name << " " << test_support::describe(config);
+    EXPECT_EQ(d.flops_per_point,
+              2.0 * static_cast<double>(sp.points.size()) - 1.0)
+        << sp.name;
+  }
+}
+
+TEST(SpecDist, WideStencilsFuseAndPersistMatchSerial) {
+  // Fused windows (radius * steps * fuse-deep bands on every side) and
+  // persistent routes over radius > 1 direct stencils, each with a ragged
+  // final window.
+  const WideCase cases[] = {
+      {2, false, 24, 7, 8, 2, 2},  // window depth 2 * 2 * 2 == tile
+      {3, false, 27, 5, 9, 3, 1},  // one tile per node
+      {2, true, 24, 7, 8, 2, 2},
+  };
+  for (const WideCase& c : cases) {
+    const Problem problem =
+        spec_problem(cross_or_box(c.radius, c.box), c.n, c.n, c.iters);
+    for (const auto& [fuse, persistent] :
+         {std::pair{2, false}, std::pair{1, true}, std::pair{2, true}}) {
+      DistConfig config;
+      config.decomp = {c.tile, c.tile, c.nodes, c.nodes};
+      config.steps = c.steps;
+      config.fuse_depth = fuse;
+      config.persistent = persistent;
+      config.workers_per_rank = 2;
+      config.scheduler = rt::SchedPolicy::WorkStealing;
+      EXPECT_TRUE(planes_match(problem, config));
+    }
+  }
+}
+
+TEST(SpecDist, ValidatesRadiusTimesSteps) {
+  // star9 reads 2 deep, so the ghost band is 2 * steps: 2 * 2 == 4 fits a
+  // 4-wide tile, one more step does not.
+  const Problem problem = spec_problem(spec::StencilSpec::star9(), 16, 16, 4);
+  DistConfig config;
+  config.decomp = {4, 4, 2, 2};
+  config.steps = 3;
+  EXPECT_THROW(run_distributed(problem, config), std::invalid_argument);
+  config.steps = 2;
+  EXPECT_TRUE(planes_match(problem, config));
 }
 
 TEST(SpecDist, GatherPlanesShapesAndRedundancy) {
@@ -194,9 +319,8 @@ TEST(SpecDist, GatherPlanesShapesAndRedundancy) {
 TEST(SpecDist, OversizedStepsThrow) {
   const Problem problem =
       spec_problem(spec::StencilSpec::star9(), 24, 22, 4, 1, 11);
-  // star9 compiles to radius-1 stage units with steps doubled (2 stages), so
-  // the effective ghost depth is steps * stages; 8 * 2 = 16 exceeds the
-  // smallest tile extent (8) and must throw.
+  // star9 reads 2 deep, so its ghost depth is 2 * steps; 2 * 8 = 16 exceeds
+  // the smallest tile extent (8) and must throw.
   DistConfig config = small_config(8, rt::SchedPolicy::PriorityFifo);
   EXPECT_THROW(run_distributed(problem, config), std::invalid_argument);
 }

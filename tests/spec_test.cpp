@@ -1,8 +1,7 @@
 // Unit tests for the declarative stencil front end (src/spec): spec
-// validation, named constructors, derived halo regions, atomic-stage counts,
-// compiled-program structure, and the serial staged oracle's agreement with
-// a direct wide-stencil sweep (bit-exact for 1-stage specs, tolerance for
-// multi-stage ones whose reassembly reassociates the sum).
+// validation, named constructors, derived halo regions, ghost depths,
+// compiled-program structure, and the serial oracle's bit-exact agreement
+// with an independent direct wide-stencil sweep.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,10 +18,9 @@ namespace repro::stencil {
 namespace {
 
 // Direct wide-stencil serial reference: radius-r ring, one sweep per
-// iteration applying every tap at once in listed order. The staged oracle
-// computes the same operator with a different association, so multi-stage
-// specs match to rounding; 1-stage specs must match bit-for-bit (one stage
-// IS the direct sweep).
+// iteration applying every tap at once in listed order. The compiled stage
+// applies the same taps in the same order starting from w0*x, so the oracle
+// must match it bit-for-bit.
 std::vector<std::vector<double>> solve_direct(const Problem& p) {
   const spec::StencilSpec& sp = *p.spec;
   const int r = sp.radius();
@@ -67,17 +65,17 @@ std::vector<std::vector<double>> solve_direct(const Problem& p) {
   return out;
 }
 
-double staged_vs_direct_maxdiff(const spec::StencilSpec& sp, int nz,
+double oracle_vs_direct_maxdiff(const spec::StencilSpec& sp, int nz,
                                 int iters) {
   const Problem p = spec_problem(sp, 12, 11, iters, nz, 7);
-  const std::vector<Grid2D> staged = solve_serial_spec(p);
+  const std::vector<Grid2D> oracle = solve_serial_spec(p);
   const auto ref = solve_direct(p);
   double maxd = 0.0;
   for (int z = 0; z < nz; ++z) {
     for (int i = 0; i < p.rows; ++i) {
       for (int j = 0; j < p.cols; ++j) {
         maxd = std::max(maxd,
-                        std::fabs(staged[z].at(i, j) - ref[z][i * p.cols + j]));
+                        std::fabs(oracle[z].at(i, j) - ref[z][i * p.cols + j]));
       }
     }
   }
@@ -174,62 +172,83 @@ TEST(Spec, DeriveHalosFacesAndCorners) {
   EXPECT_EQ(spec::derive_halos(spec::StencilSpec::box27()).size(), 26u);
 }
 
-TEST(Spec, StageCountAndGhostDepth) {
-  EXPECT_EQ(spec::stage_count(spec::StencilSpec::star5()), 1);
-  EXPECT_EQ(spec::stage_count(spec::StencilSpec::box9()), 1);
-  EXPECT_EQ(spec::stage_count(spec::StencilSpec::star9()), 2);
-  EXPECT_EQ(spec::stage_count(spec::StencilSpec::heat3d()), 1);
+TEST(Spec, RadiusAndGhostDepth) {
+  // The compiled reach on the decomposed axes is max(1, radius_xy()): the
+  // halo depth per step.
+  EXPECT_EQ(spec::compile_spec(spec::StencilSpec::star5()).radius, 1);
+  EXPECT_EQ(spec::compile_spec(spec::StencilSpec::box9()).radius, 1);
+  EXPECT_EQ(spec::compile_spec(spec::StencilSpec::star9()).radius, 2);
+  EXPECT_EQ(spec::compile_spec(spec::StencilSpec::heat3d(), 2).radius, 1);
+  spec::StencilSpec z_only;  // reads along z only: still one cell deep
+  z_only.rank = 3;
+  z_only.points = {{{0, 0, 0}, 0.5}, {{0, 0, 1}, 0.25}};
+  EXPECT_EQ(spec::compile_spec(z_only, 2).radius, 1);
   EXPECT_EQ(spec::ca_ghost_depth(spec::StencilSpec::star9(), 3), 6);
   EXPECT_EQ(spec::ca_ghost_depth(spec::StencilSpec::box9(), 3), 3);
 }
 
 TEST(Spec, CompiledProgramStructure) {
-  const spec::CompiledProgram s9 = spec::compile_spec(
-      spec::StencilSpec::star9(), 1);
-  EXPECT_EQ(s9.nstages, 2);
-  EXPECT_EQ(s9.ncomp, 6);
+  // One stage: a field plane per cell whose taps are the spec's points at
+  // their full offsets, in listed order.
+  const spec::StencilSpec star9 = spec::StencilSpec::star9();
+  const spec::CompiledProgram s9 = spec::compile_spec(star9, 1);
   EXPECT_EQ(s9.nfield, 1);
+  EXPECT_EQ(s9.radius, 2);
   EXPECT_FALSE(s9.diagonal_taps);
+  ASSERT_EQ(s9.outputs.size(), 1u);
+  EXPECT_EQ(s9.outputs[0].plane, 0);
+  ASSERT_EQ(s9.outputs[0].taps.size(), star9.points.size());
+  for (std::size_t k = 0; k < star9.points.size(); ++k) {
+    const spec::StageTap& tap = s9.outputs[0].taps[k];
+    EXPECT_EQ(tap.plane, 0);
+    EXPECT_EQ(tap.di, star9.points[k].offset[0]);
+    EXPECT_EQ(tap.dj, star9.points[k].offset[1]);
+    EXPECT_EQ(tap.w, star9.points[k].coeff);
+  }
+  EXPECT_EQ(s9.outputs[0].taps[5].di, -2);  // the taps reach 2
 
   const spec::CompiledProgram b9 = spec::compile_spec(
       spec::StencilSpec::box9(), 1);
-  EXPECT_EQ(b9.nstages, 1);
+  EXPECT_EQ(b9.radius, 1);
   EXPECT_TRUE(b9.diagonal_taps);
 
   // 2.5D: z folded into per-cell planes — nz field planes plus one frozen
-  // Dirichlet ghost plane per read z direction.
+  // Dirichlet ghost plane per read z direction; z offsets are plane deltas.
   const spec::CompiledProgram h = spec::compile_spec(
       spec::StencilSpec::heat3d(), 4);
-  EXPECT_EQ(h.nstages, 1);
   EXPECT_EQ(h.nfield, 6);
+  ASSERT_EQ(h.outputs.size(), 4u);
+  EXPECT_EQ(h.outputs[0].plane, 1);
+  EXPECT_EQ(h.outputs[0].taps[5].plane, 0);  // (0, 0, -1): the ghost plane
+  EXPECT_EQ(h.outputs[3].taps[6].plane, 5);  // (0, 0, +1): the ghost plane
 
   // The recognized 5-point fast path only fires for the exact star5 layout.
   EXPECT_TRUE(spec::compile_spec(spec::StencilSpec::star5(), 1)
                   .star5.has_value());
   EXPECT_FALSE(b9.star5.has_value());
 
-  EXPECT_GT(s9.flops_per_point(), 0.0);
+  EXPECT_EQ(s9.flops_per_point(), 17.0);  // 9 multiplies + 8 adds
+  EXPECT_EQ(h.flops_per_point(), 4 * 13.0);  // per 2D cell, all z planes
 }
 
 TEST(Spec, SingleStageSpecsMatchDirectBitForBit) {
-  // One stage applies the taps in listed order starting from w0*x, exactly
+  // The stage applies the taps in listed order starting from w0*x, exactly
   // like the direct sweep: no reassociation, so identity is exact.
-  EXPECT_EQ(staged_vs_direct_maxdiff(spec::StencilSpec::star5(), 1, 6), 0.0);
-  EXPECT_EQ(staged_vs_direct_maxdiff(spec::StencilSpec::box9(), 1, 5), 0.0);
-  EXPECT_EQ(staged_vs_direct_maxdiff(spec::StencilSpec::advect2d(), 1, 6),
+  EXPECT_EQ(oracle_vs_direct_maxdiff(spec::StencilSpec::star5(), 1, 6), 0.0);
+  EXPECT_EQ(oracle_vs_direct_maxdiff(spec::StencilSpec::box9(), 1, 5), 0.0);
+  EXPECT_EQ(oracle_vs_direct_maxdiff(spec::StencilSpec::advect2d(), 1, 6),
             0.0);
 }
 
-TEST(Spec, StagedDecompositionMatchesDirectToRounding) {
-  EXPECT_LT(staged_vs_direct_maxdiff(spec::StencilSpec::star9(), 1, 5),
-            1e-12);
-  EXPECT_LT(staged_vs_direct_maxdiff(spec::StencilSpec::heat3d(), 4, 5),
-            1e-12);
-  EXPECT_LT(staged_vs_direct_maxdiff(spec::StencilSpec::box27(), 3, 4),
-            1e-12);
+TEST(Spec, WideAndRank3SpecsMatchDirectBitForBit) {
+  // Radius-2 and rank-3 specs and random point sets up to radius 3: the
+  // same single sweep, so also exact.
+  EXPECT_EQ(oracle_vs_direct_maxdiff(spec::StencilSpec::star9(), 1, 5), 0.0);
+  EXPECT_EQ(oracle_vs_direct_maxdiff(spec::StencilSpec::heat3d(), 4, 5), 0.0);
+  EXPECT_EQ(oracle_vs_direct_maxdiff(spec::StencilSpec::box27(), 3, 4), 0.0);
   for (unsigned long seed = 1; seed <= 8; ++seed) {
     const spec::StencilSpec sp = spec::random_spec(seed);
-    EXPECT_LT(staged_vs_direct_maxdiff(sp, sp.rank == 3 ? 3 : 1, 4), 1e-12)
+    EXPECT_EQ(oracle_vs_direct_maxdiff(sp, sp.rank == 3 ? 3 : 1, 4), 0.0)
         << "seed " << seed << " spec " << sp.to_literal();
   }
 }

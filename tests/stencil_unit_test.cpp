@@ -348,5 +348,68 @@ TEST(Halo, ValidatesGeometry) {
       std::invalid_argument);
 }
 
+TEST(Halo, LocalLineDepthTwoCopiesBothColumns) {
+  const int h = 4, w = 5, r = 2;
+  const TileGeom g{h, w, r, r, r, r};
+  std::vector<double> nbr(g.size());
+  for (int i = -r; i < h + r; ++i) {
+    for (int j = -r; j < w + r; ++j) nbr[g.idx(i, j)] = i * 100.0 + j;
+  }
+  std::vector<double> mine(g.size(), -7.0);
+  copy_local_line(mine.data(), g, Side::West, nbr.data(), g, r);
+  for (int i = -r; i < h + r; ++i) {
+    for (int d = 1; d <= r; ++d) {
+      // Our col -d = neighbor col w-d.
+      EXPECT_DOUBLE_EQ(mine[g.idx(i, -d)], i * 100.0 + (w - d));
+    }
+  }
+  EXPECT_DOUBLE_EQ(mine[g.idx(0, 0)], -7.0);
+  // Depth mismatch rejected.
+  EXPECT_THROW(copy_local_line(mine.data(), g, Side::West, nbr.data(), g, 1),
+               std::invalid_argument);
+}
+
+TEST(Halo, LocalCornerCopiesDiagonalCore) {
+  const int h = 5, w = 5, r = 2;
+  const TileGeom g{h, w, r, r, r, r};
+  std::vector<double> diag(g.size());
+  for (int i = 0; i < h; ++i) {
+    for (int j = 0; j < w; ++j) diag[g.idx(i, j)] = i * 10.0 + j;
+  }
+  std::vector<double> mine(g.size(), -7.0);
+  copy_local_corner(mine.data(), g, Corner::NW, diag.data(), g);
+  for (int a = 1; a <= r; ++a) {
+    for (int b = 1; b <= r; ++b) {
+      // Our (-a,-b) = diag core (h-a, w-b).
+      EXPECT_DOUBLE_EQ(mine[g.idx(-a, -b)], (h - a) * 10.0 + (w - b));
+    }
+  }
+  EXPECT_DOUBLE_EQ(mine[g.idx(0, 0)], -7.0);
+}
+
+TEST(TileMapTopology, CornerNeighborsAreFirstClass) {
+  // Regression for latent 4-neighbor assumptions: with one tile per node on
+  // a 3x3 grid, EVERY neighbor of the center tile — corners included — is
+  // remote, and the map must report the full 8-neighborhood. Spec-driven box
+  // stencils route corner exchanges through exactly these queries.
+  const TileMap map(12, 12, 4, 4, 3, 3);
+  EXPECT_EQ(map.neighbor_count(1, 1), 8);
+  EXPECT_EQ(map.neighbor_count(1, 1, /*remote_only=*/true), 8);
+  // Corner tile: 3 neighbors (E, S, SE), all remote.
+  EXPECT_EQ(map.neighbor_count(0, 0), 3);
+  EXPECT_EQ(map.neighbor_count(0, 0, /*remote_only=*/true), 3);
+  // Edge tile: 5 neighbors.
+  EXPECT_EQ(map.neighbor_count(0, 1), 5);
+  // Diagonal remoteness is distinct from face remoteness: on a 1x3 node
+  // grid (columns split, rows shared) the center tile's N/S neighbors are
+  // local but its diagonal neighbors are remote.
+  const TileMap strips(12, 12, 4, 4, 1, 3);
+  EXPECT_TRUE(strips.neighbor_remote(1, 1, 0, 1));
+  EXPECT_FALSE(strips.neighbor_remote(1, 1, 1, 0));
+  EXPECT_TRUE(strips.neighbor_remote(1, 1, 1, 1));
+  EXPECT_TRUE(strips.neighbor_remote(1, 1, -1, -1));
+  EXPECT_EQ(strips.neighbor_count(1, 1, /*remote_only=*/true), 6);
+}
+
 }  // namespace
 }  // namespace repro::stencil
