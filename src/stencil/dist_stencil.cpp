@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "net/persistent_channel.hpp"
@@ -108,6 +109,103 @@ TileInfo make_tile_info(const TileMap& map, int steps, int radius, bool box,
   return info;
 }
 
+/// State-buffer storage for one rank. take() hands out a buffer whose deleter
+/// gives the storage back when the last reference drops, on whichever thread
+/// drops it, so reuse follows reference counts and never dataflow reasoning.
+/// The pool lives as long as any buffer it handed out.
+class StatePool : public std::enable_shared_from_this<StatePool> {
+ public:
+  /// Free buffers kept per rank; a buffer returned past this is freed on the
+  /// releasing thread. Uncapped retention raised kernel_bound's peak RSS by
+  /// 11-17 %; four buffers still serve most outputs (DESIGN.md §6).
+  static constexpr std::size_t kRetained = 4;
+
+  /// Reserved up front so giving a buffer back never allocates.
+  StatePool() { free_.reserve(kRetained); }
+
+  /// A buffer of n doubles with stale contents.
+  std::shared_ptr<std::vector<double>> take(std::size_t n) {
+    std::unique_ptr<std::vector<double>> storage;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      // Prefer an exact fit: growing a smaller buffer zero-fills the growth.
+      auto it = std::find_if(free_.begin(), free_.end(),
+                             [n](const auto& v) { return v->size() == n; });
+      if (it == free_.end()) {
+        it = std::find_if(free_.begin(), free_.end(),
+                          [n](const auto& v) { return v->capacity() >= n; });
+      }
+      if (it != free_.end()) {
+        storage = std::move(*it);
+        *it = std::move(free_.back());
+        free_.pop_back();
+      }
+    }
+    if (!storage) {
+      misses_.fetch_add(1, std::memory_order_relaxed);
+      storage = std::make_unique<std::vector<double>>();
+    }
+    storage->resize(n);
+    return {storage.release(), GiveBack{shared_from_this()}};
+  }
+
+  /// Buffers take() had to allocate.
+  long long misses() const { return misses_.load(std::memory_order_relaxed); }
+
+ private:
+  struct GiveBack {
+    std::shared_ptr<StatePool> pool;
+    void operator()(std::vector<double>* v) const {
+      pool->give_back(std::unique_ptr<std::vector<double>>(v));
+    }
+  };
+
+  void give_back(std::unique_ptr<std::vector<double>> v) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (free_.size() < kRetained) {
+        free_.push_back(std::move(v));
+        return;
+      }
+    }
+    v.reset();  // over the cap: free outside the lock
+  }
+
+  std::mutex mu_;
+  std::vector<std::unique_ptr<std::vector<double>>> free_;
+  std::atomic<long long> misses_{0};
+};
+
+/// The calling worker thread's step-assembly buffer: at least n doubles of
+/// stale data, grown on demand and reused by every step body the thread runs.
+double* worker_scratch(std::size_t n) {
+  thread_local std::unique_ptr<double[]> buffer;
+  thread_local std::size_t capacity = 0;
+  if (capacity < n) {
+    buffer.reset();
+    buffer = std::make_unique_for_overwrite<double[]>(n);
+    capacity = n;
+  }
+  return buffer.get();
+}
+
+/// Copy the cells of one plane the kernel leaves unwritten: everything
+/// outside [r0,r1) x [c0,c1).
+void copy_outside(const double* src, double* dst, const TileGeom& g, int r0,
+                  int r1, int c0, int c1) {
+  const std::size_t ld = static_cast<std::size_t>(g.ld());
+  const std::size_t top = g.idx(r0, -g.gw);
+  const std::size_t bottom = g.idx(r1, -g.gw);
+  const auto west = static_cast<std::size_t>(c0 + g.gw);
+  const auto east = static_cast<std::size_t>(c1 + g.gw);
+  std::copy(src, src + top, dst);
+  for (std::size_t row = top; row < bottom; row += ld) {
+    std::copy(src + row, src + row + west, dst + row);
+    std::copy(src + row + east, src + row + ld, dst + row + east);
+  }
+  std::copy(src + bottom, src + g.size(), dst + bottom);
+}
+
 /// Immutable per-run context shared by all task bodies.
 ///
 /// Spec-driven problems run their compiled stage once per iteration with
@@ -178,6 +276,11 @@ struct Shared {
     }
     hook_period = config.steps;
     steps = static_cast<int>(window);
+
+    pools.reserve(static_cast<std::size_t>(map.nodes()));
+    for (int rank = 0; rank < map.nodes(); ++rank) {
+      pools.push_back(std::make_shared<StatePool>());
+    }
   }
 
   Problem problem;
@@ -190,6 +293,9 @@ struct Shared {
   /// Spec path: compiled stage (null = classic 5-point/variable).
   std::shared_ptr<const spec::CompiledProgram> program;
   int nfield = 1;   ///< planes per state buffer and halo exchange
+  /// One state-buffer pool per rank: a pool shared by all ranks cost
+  /// latency_bound 13 % and ca_fused 20 % (DESIGN.md §6).
+  std::vector<std::shared_ptr<StatePool>> pools;
   SuperstepHook hook;  ///< superstep-boundary snapshot callback (may be empty)
   /// Every tile's static facts, row-major; filled once by the Builder, read
   /// by task bodies for their own and their neighbors' geometry.
@@ -392,7 +498,9 @@ class Builder {
   /// reduce to the single-plane pack functions byte-for-byte).
   static void publish_all(rt::TaskContext& ctx, const TileInfo& info,
                           const PackPlan& plan, int depth,
-                          std::vector<double>&& ext, int nplanes) {
+                          std::shared_ptr<std::vector<double>> state,
+                          int nplanes) {
+    const double* ext = state->data();
     const TileGeom& g = info.geom;
     // Persistent-channel runs hand back a pre-registered route buffer per
     // halo slot: pack straight into it (no allocation) and publish the
@@ -403,10 +511,10 @@ class Builder {
       if (plan.bands[static_cast<int>(s)]) {
         const auto slot = kSlotBand(s);
         if (auto buf = ctx.acquire_route_buffer(slot)) {
-          pack_band_planes_into(buf->data(), ext.data(), g, s, depth, nplanes);
+          pack_band_planes_into(buf->data(), ext, g, s, depth, nplanes);
           ctx.publish_fragments(slot, std::move(buf));
         } else {
-          ctx.publish(slot, pack_band_planes(ext.data(), g, s, depth, nplanes));
+          ctx.publish(slot, pack_band_planes(ext, g, s, depth, nplanes));
         }
       }
     }
@@ -414,16 +522,14 @@ class Builder {
       if (plan.corners[static_cast<int>(c)]) {
         const auto slot = kSlotCorner(c);
         if (auto buf = ctx.acquire_route_buffer(slot)) {
-          pack_corner_planes_into(buf->data(), ext.data(), g, c, depth,
-                                  nplanes);
+          pack_corner_planes_into(buf->data(), ext, g, c, depth, nplanes);
           ctx.publish_fragments(slot, std::move(buf));
         } else {
-          ctx.publish(slot,
-                      pack_corner_planes(ext.data(), g, c, depth, nplanes));
+          ctx.publish(slot, pack_corner_planes(ext, g, c, depth, nplanes));
         }
       }
     }
-    ctx.publish(kSlotState, std::move(ext));
+    ctx.publish(kSlotState, std::move(state));
   }
 
   rt::TaskSpec make_init_task(const TileInfo& info) {
@@ -446,12 +552,14 @@ class Builder {
       const long gc0 = map.col0(tile_info.tj);
 
       const int nfield = shared->nfield;
-      std::vector<double> ext(static_cast<std::size_t>(nfield) * g.size());
+      auto state = shared->pools[static_cast<std::size_t>(tile_info.rank)]
+                       ->take(static_cast<std::size_t>(nfield) * g.size());
+      double* ext = state->data();
       if (shared->program) {
         // Spec path: every field plane at every padded cell samples the same
         // spec_sample the serial oracle uses.
         for (int c = 0; c < nfield; ++c) {
-          double* dst = ext.data() + static_cast<std::size_t>(c) * g.size();
+          double* dst = ext + static_cast<std::size_t>(c) * g.size();
           for (int i = -g.gn; i < g.h + g.gs; ++i) {
             for (int j = -g.gw; j < g.w + g.ge; ++j) {
               dst[g.idx(i, j)] = spec_sample(*shared->program,
@@ -489,8 +597,8 @@ class Builder {
         }
         ctx.publish(kSlotCoeff, std::move(coeff));
       }
-      if (shared->hook) call_hook(*shared, tile_info, 0, ext.data());
-      publish_all(ctx, tile_info, plan, depth, std::move(ext), nfield);
+      if (shared->hook) call_hook(*shared, tile_info, 0, ext);
+      publish_all(ctx, tile_info, plan, depth, std::move(state), nfield);
     };
     return spec;
   }
@@ -582,22 +690,25 @@ class Builder {
       const TileGeom& g = tile_info.geom;
       const int steps = shared->steps;
 
-      // 1. Assemble the input view: previous own state (covers the core, the
+      // 1. Assemble the kernel's input in this worker's scratch, the body's
+      //    one full-tile pass: previous own state (covers the core, the
       //    still-valid redundant bands, and the Dirichlet ring)...
       const int radius = shared->radius;
       const int exchange_depth = radius * steps;
+      const int nfield = shared->nfield;
+      const std::size_t plane = g.size();
       std::span<const double> prev = ctx.input(0);
-      std::vector<double> assembled(prev.begin(), prev.end());
+      double* assembled = worker_scratch(prev.size());
+      std::copy(prev.begin(), prev.end(), assembled);
 
       // 2. ...refresh radius-deep local ghost lines (full extended extent),
       //    then (diagonal-tap stencils) local corner blocks.
-      const int nfield = shared->nfield;
       std::size_t next_input = 1;
       for (Side s : kAllSides) {
         if (!tile_info.side_local[static_cast<int>(s)]) continue;
         const TileInfo& nbr =
             shared->tile(tile_info.ti + d_ti(s), tile_info.tj + d_tj(s));
-        copy_local_line_planes(assembled.data(), g, s,
+        copy_local_line_planes(assembled, g, s,
                                ctx.input(next_input).data(), nbr.geom, radius,
                                nfield);
         ++next_input;
@@ -606,7 +717,7 @@ class Builder {
         if (!tile_info.corner_local[static_cast<int>(c)]) continue;
         const TileInfo& diag =
             shared->tile(tile_info.ti + d_ti(c), tile_info.tj + d_tj(c));
-        copy_local_corner_planes(assembled.data(), g, c,
+        copy_local_corner_planes(assembled, g, c,
                                  ctx.input(next_input).data(), diag.geom,
                                  nfield);
         ++next_input;
@@ -617,13 +728,13 @@ class Builder {
       if (start) {
         for (Side s : kAllSides) {
           if (!tile_info.side_deep[static_cast<int>(s)]) continue;
-          unpack_band_planes(assembled.data(), g, s, ctx.input(next_input),
+          unpack_band_planes(assembled, g, s, ctx.input(next_input),
                              exchange_depth, nfield);
           ++next_input;
         }
         for (Corner c : kAllCorners) {
           if (!tile_info.corner_in[static_cast<int>(c)]) continue;
-          unpack_corner_planes(assembled.data(), g, c, ctx.input(next_input),
+          unpack_corner_planes(assembled, g, c, ctx.input(next_input),
                                exchange_depth, nfield);
           ++next_input;
         }
@@ -648,21 +759,35 @@ class Builder {
                                   shared->ratio * (c1 - c0))));
       }
 
-      std::vector<double> out = assembled;  // ring + unwritten cells persist
+      // 5. The output comes from the rank's pool and receives only what the
+      //    kernel leaves unwritten: the ring, stale ghost cells and, when
+      //    ratio < 1, the core outside the region on written planes; frozen
+      //    spec z-boundary planes whole.
+      auto state = shared->pools[static_cast<std::size_t>(tile_info.rank)]
+                       ->take(prev.size());
+      double* out = state->data();
+      // The stage writes the interior z planes [zlo, zlo + nz).
+      const int zlo = shared->program ? shared->program->zlo : 0;
+      const int nz = shared->program ? shared->program->nz : 1;
+      for (int p = 0; p < nfield; ++p) {
+        const std::size_t off = static_cast<std::size_t>(p) * plane;
+        if (p >= zlo && p < zlo + nz) {
+          copy_outside(assembled + off, out + off, g, r0, r1, c0, c1);
+        } else {
+          std::copy_n(assembled + off, plane, out + off);
+        }
+      }
       if (shared->program) {
-        // The frozen z-boundary planes and the static exterior ring were
-        // carried by the copy above.
-        apply_program_stage(assembled.data(), out.data(), g, *shared->program,
-                            r0, r1, c0, c1, shared->kernel, shared->tuning);
+        apply_program_stage(assembled, out, g, *shared->program, r0, r1, c0,
+                            c1, shared->kernel, shared->tuning);
       } else if (variable) {
         const auto coeff = ctx.input(ctx.num_inputs() - 1);
-        jacobi5_var(assembled.data(), out.data(), g, coeff.data(), r0, r1, c0,
-                    c1);
+        jacobi5_var(assembled, out, g, coeff.data(), r0, r1, c0, c1);
       } else {
         // Constant-coefficient path: dispatch the selected kernel variant
         // (bit-identical to jacobi5 by construction, see kernel_opt.hpp).
-        jacobi5_opt(assembled.data(), out.data(), g, shared->problem.weights,
-                    r0, r1, c0, c1, shared->kernel, shared->tuning);
+        jacobi5_opt(assembled, out, g, shared->problem.weights, r0, r1, c0,
+                    c1, shared->kernel, shared->tuning);
       }
       shared->computed_points.fetch_add(
           static_cast<long long>(r1 - r0) * (c1 - c0),
@@ -674,9 +799,9 @@ class Builder {
       // consistent at every one of those interior boundaries (all deep sides
       // shrink uniformly past the core only at window end).
       if (shared->hook && k % shared->hook_period == 0) {
-        call_hook(*shared, tile_info, k, out.data());
+        call_hook(*shared, tile_info, k, out);
       }
-      publish_all(ctx, tile_info, plan, exchange_depth, std::move(out),
+      publish_all(ctx, tile_info, plan, exchange_depth, std::move(state),
                   nfield);
     };
     return spec;
@@ -731,13 +856,15 @@ Grid2D SolveSubgraph::gather_plane(const rt::Runtime& runtime, int z) const {
   const std::size_t plane_off =
       shared.program ? static_cast<std::size_t>(shared.program->zlo + z) : 0;
 
+  // The tiles cover the interior, so only the ring is sampled; each tile
+  // row lands with one copy.
   Grid2D grid(problem.rows, problem.cols);
-  const CellFn ring = shared.program
-                          ? CellFn([&problem, z](long i, long j) {
-                              return problem.boundary3(i, j, z);
-                            })
-                          : problem.boundary;
-  grid.fill([](long, long) { return 0.0; }, ring);
+  if (shared.program) {
+    grid.fill_ring(
+        [&problem, z](long i, long j) { return problem.boundary3(i, j, z); });
+  } else {
+    grid.fill_ring(problem.boundary);
+  }
   for (int ti = 0; ti < map.tiles_r(); ++ti) {
     for (int tj = 0; tj < map.tiles_c(); ++tj) {
       const rt::Buffer state = runtime.result(
@@ -745,9 +872,8 @@ Grid2D SolveSubgraph::gather_plane(const rt::Runtime& runtime, int z) const {
       const TileGeom& g = builder.tile(ti, tj).geom;
       const double* src = state->data() + plane_off * g.size();
       for (int i = 0; i < g.h; ++i) {
-        for (int j = 0; j < g.w; ++j) {
-          grid.at(map.row0(ti) + i, map.col0(tj) + j) = src[g.idx(i, j)];
-        }
+        std::copy_n(src + g.idx(i, 0), g.w,
+                    &grid.at(map.row0(ti) + i, map.col0(tj)));
       }
     }
   }
@@ -766,6 +892,14 @@ std::vector<Grid2D> SolveSubgraph::gather_planes(
 
 long long SolveSubgraph::computed_points() const {
   return impl_->builder.shared()->computed_points.load();
+}
+
+long long SolveSubgraph::state_buffer_allocs() const {
+  long long allocs = 0;
+  for (const auto& pool : impl_->builder.shared()->pools) {
+    allocs += pool->misses();
+  }
+  return allocs;
 }
 
 int SolveSubgraph::fuse_window() const {
@@ -983,6 +1117,9 @@ DistResult run_distributed(const Problem& problem, const DistConfig& config) {
     publish("stencil_computed_points_total",
             static_cast<std::uint64_t>(result.computed_points),
             "Stencil points updated, redundant recompute included");
+    publish("stencil_state_buffer_allocs_total",
+            static_cast<std::uint64_t>(subgraph.state_buffer_allocs()),
+            "State buffers allocated because the rank's pool was empty");
     const long long redundant =
         std::max(0LL, result.computed_points - result.nominal_points);
     publish("stencil_redundant_points_total",

@@ -192,6 +192,10 @@ class SolveSubgraph {
   std::vector<Grid2D> gather_planes(const rt::Runtime& runtime) const;
   /// Stencil points updated (redundant recompute included); valid after run.
   long long computed_points() const;
+  /// State buffers the solve's per-rank pools had to allocate, INIT's
+  /// included (the rest reused a buffer whose last reference had dropped);
+  /// valid after run.
+  long long state_buffer_allocs() const;
   /// rows * cols * iterations (no redundancy).
   long long nominal_points() const;
   /// Members per fuse window for rt::fuse_supersteps: > 1 when the config

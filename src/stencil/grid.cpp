@@ -5,23 +5,40 @@
 
 namespace repro::stencil {
 
-Grid2D::Grid2D(int rows, int cols)
-    : rows_(rows),
-      cols_(cols),
-      data_(AlignedBuffer<double>::zeroed(
-          static_cast<std::size_t>(rows + 2) *
-          static_cast<std::size_t>(cols + 2))) {
+namespace {
+
+/// Cells of a rows x cols grid plus its ring. Runs in the member
+/// initializer, so bad dimensions throw before anything is allocated.
+std::size_t checked_cells(int rows, int cols) {
   if (rows < 1 || cols < 1) {
     throw std::invalid_argument("Grid2D: dimensions must be >= 1");
   }
+  return (static_cast<std::size_t>(rows) + 2) *
+         (static_cast<std::size_t>(cols) + 2);
 }
 
+}  // namespace
+
+Grid2D::Grid2D(int rows, int cols)
+    : rows_(rows),
+      cols_(cols),
+      data_(AlignedBuffer<double>::zeroed(checked_cells(rows, cols))) {}
+
 void Grid2D::fill(const CellFn& initial, const CellFn& boundary) {
-  for (int i = -1; i <= rows_; ++i) {
-    for (int j = -1; j <= cols_; ++j) {
-      const bool ring = i < 0 || i >= rows_ || j < 0 || j >= cols_;
-      at(i, j) = ring ? boundary(i, j) : initial(i, j);
-    }
+  for (int i = 0; i < rows_; ++i) {
+    for (int j = 0; j < cols_; ++j) at(i, j) = initial(i, j);
+  }
+  fill_ring(boundary);
+}
+
+void Grid2D::fill_ring(const CellFn& boundary) {
+  for (int j = -1; j <= cols_; ++j) {
+    at(-1, j) = boundary(-1, j);
+    at(rows_, j) = boundary(rows_, j);
+  }
+  for (int i = 0; i < rows_; ++i) {
+    at(i, -1) = boundary(i, -1);
+    at(i, cols_) = boundary(i, cols_);
   }
 }
 

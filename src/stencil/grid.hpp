@@ -33,6 +33,9 @@ class Grid2D {
   /// Fill interior from `initial` and the ring from `boundary`.
   void fill(const CellFn& initial, const CellFn& boundary);
 
+  /// Fill only the ring from `boundary`; the interior is left as it is.
+  void fill_ring(const CellFn& boundary);
+
   /// Max |a-b| over the interior. Grids must have identical shape.
   static double max_abs_diff(const Grid2D& a, const Grid2D& b);
 

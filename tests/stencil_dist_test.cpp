@@ -6,6 +6,9 @@
 // on doubles, tolerance 0.0).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "stencil/dist_stencil.hpp"
 #include "stencil/serial.hpp"
 
@@ -279,6 +282,154 @@ TEST(DistStencil, KernelRatioReducesComputedPoints) {
   // ratio=0.5 updates a quarter of each tile.
   EXPECT_EQ(rq.computed_points * 4, rf.computed_points);
   EXPECT_EQ(rq.nominal_points * 4, rf.nominal_points);
+}
+
+/// 64-bit FNV-1a over the bits of every cell, ring included.
+std::uint64_t grid_hash(const Grid2D& grid) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (int i = -1; i <= grid.rows(); ++i) {
+    for (int j = -1; j <= grid.cols(); ++j) {
+      const auto bits = std::bit_cast<std::uint64_t>(grid.at(i, j));
+      for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ull;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(DistStencil, KernelRatioFieldsArePinned) {
+  // ratio < 1 updates a sub-rectangle; the rest of the core, the stale ghost
+  // cells and the ring carry over from the previous state, so these runs are
+  // where the step body's rule for the cells the kernel does not write
+  // shows. The hashes were recorded from the step body that copied every
+  // tile whole; every kernel variant gives the same field.
+  struct Pin {
+    double ratio;
+    int steps;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {0.5, 1, 0x03eebd70cb2b1e92ull}, {0.5, 2, 0xe45b0cfaf093b954ull},
+      {0.5, 3, 0xbc42f44c77fdcb98ull}, {0.3, 1, 0xe63141f253849e07ull},
+      {0.3, 2, 0x00b87303d2a9dcaaull}, {0.3, 3, 0xd274fd8f9714a5faull},
+  };
+  const Problem problem = random_problem(40, 36, 7, 5);
+  for (const Pin& pin : pins) {
+    for (const KernelVariant kernel :
+         {KernelVariant::Scalar, KernelVariant::Vector}) {
+      DistConfig config;
+      config.decomp = {10, 9, 2, 2};
+      config.steps = pin.steps;
+      config.kernel_ratio = pin.ratio;
+      config.kernel = kernel;
+      EXPECT_EQ(grid_hash(run_distributed(problem, config).grid), pin.hash)
+          << "ratio " << pin.ratio << " steps " << pin.steps << " kernel "
+          << kernel_variant_name(kernel);
+    }
+  }
+  DistConfig config;
+  config.decomp = {10, 9, 2, 2};
+  config.steps = 2;
+  config.kernel_ratio = 0.5;
+  EXPECT_EQ(
+      grid_hash(
+          run_distributed(random_variable_problem(40, 36, 7, 5), config).grid),
+      0x6281aee553bc3dbfull);
+}
+
+TEST(DistStencil, StateBufferOutlivesSolveAndRuntime) {
+  // A state buffer returns to its rank's pool when its last reference drops.
+  // One held past the graph, the subgraph and the runtime must stay readable
+  // and must still be freed cleanly when it is finally dropped.
+  const int iters = 5;
+  const Problem problem = random_problem(16, 16, iters);
+  DistConfig config;
+  config.decomp = {4, 4, 2, 2};
+  rt::Buffer state;
+  {
+    rt::TaskGraph graph;
+    const SolveSubgraph subgraph = add_solve_subgraph(graph, problem, config);
+    rt::Config rt_config;
+    rt_config.nranks = subgraph.nodes();
+    rt_config.workers_per_rank = 2;
+    rt::Runtime runtime(rt_config);
+    runtime.run(graph);
+    // STEP(k, ti, tj) has type 1 at key_space 0; slot 0 is its state.
+    state = runtime.result(rt::TaskKey{1, iters, 1, 2}, 0);
+  }
+  const Grid2D expected = solve_serial(problem);
+  const TileGeom g{4, 4, 1, 1, 1, 1};
+  ASSERT_EQ(state->size(), g.size());
+  for (int i = 0; i < g.h; ++i) {
+    for (int j = 0; j < g.w; ++j) {
+      EXPECT_EQ((*state)[g.idx(i, j)], expected.at(4 + i, 8 + j));
+    }
+  }
+  state.reset();
+}
+
+TEST(DistStencil, ResidentRuntimeRunsSolvesOfDifferentTileShapes) {
+  // Worker threads reuse one assembly buffer across every step body they
+  // run, whatever its tile shape: a small-tile solve, then a run batching a
+  // large-tile and a ragged-tile solve, on one resident runtime.
+  const Problem problem = random_problem(20, 18, 6);
+  const Grid2D expected = solve_serial(problem);
+  rt::Config rt_config;
+  rt_config.nranks = 4;
+  rt_config.workers_per_rank = 2;
+  rt::Runtime runtime(rt_config);
+  const std::vector<std::vector<Decomposition>> runs = {
+      {{4, 4, 2, 2}}, {{10, 9, 2, 2}, {6, 5, 2, 2}}};
+  for (const auto& decomps : runs) {
+    rt::TaskGraph graph;
+    std::vector<SolveSubgraph> subgraphs;
+    for (const Decomposition& decomp : decomps) {
+      DistConfig config;
+      config.decomp = decomp;
+      config.steps = 2;
+      config.key_space = static_cast<std::uint32_t>(subgraphs.size());
+      subgraphs.push_back(add_solve_subgraph(graph, problem, config));
+    }
+    runtime.run(graph);
+    for (const SolveSubgraph& subgraph : subgraphs) {
+      EXPECT_EQ(Grid2D::max_abs_diff(subgraph.gather(runtime), expected), 0.0);
+    }
+    runtime.release_run();
+  }
+}
+
+TEST(DistStencil, StateBuffersComeFromRankPools) {
+  // 2x2 nodes of 2x2 tiles, one worker per rank: a rank holds at most a few
+  // states at once, so after warmup nearly every step reuses a buffer whose
+  // last reference dropped. A pool that never hits would allocate one buffer
+  // per task (656 here).
+  const int iters = 40;
+  const Problem problem = random_problem(32, 32, iters);
+  DistConfig config;
+  config.decomp = {8, 8, 2, 2};
+  const long long step_tasks = 16LL * iters;
+
+  rt::TaskGraph graph;
+  const SolveSubgraph subgraph = add_solve_subgraph(graph, problem, config);
+  rt::Config rt_config;
+  rt_config.nranks = subgraph.nodes();
+  rt::Runtime runtime(rt_config);
+  runtime.run(graph);
+  const Grid2D expected = solve_serial(problem);
+  EXPECT_EQ(Grid2D::max_abs_diff(subgraph.gather(runtime), expected), 0.0);
+  EXPECT_GE(subgraph.state_buffer_allocs(), 16);  // every INIT misses
+  EXPECT_LT(subgraph.state_buffer_allocs(), step_tasks / 2);
+
+  if constexpr (obs::kEnabled) {
+    config.metrics = std::make_shared<obs::MetricsRegistry>();
+    run_distributed(problem, config);
+    const auto allocs =
+        config.metrics->counter("stencil_state_buffer_allocs_total")->value();
+    EXPECT_GE(allocs, 16u);
+    EXPECT_LT(allocs, static_cast<std::uint64_t>(step_tasks / 2));
+  }
 }
 
 TEST(DistStencil, ValidatesConfiguration) {

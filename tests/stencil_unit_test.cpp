@@ -87,6 +87,28 @@ TEST(Grid, RejectsDegenerateShapes) {
   EXPECT_THROW(Grid2D::max_abs_diff(a, b), std::invalid_argument);
 }
 
+// Callers such as run_resilient build a Grid2D straight from a problem's
+// rows and cols, so a bad dimension must be diagnosed before the buffer is
+// sized from it (a negative size once surfaced as std::bad_alloc).
+TEST(Grid, RejectsNonPositiveDimensionsBeforeAllocating) {
+  for (const int bad : {0, -1, -3, -100}) {
+    EXPECT_THROW(Grid2D(bad, 10), std::invalid_argument) << "rows " << bad;
+    EXPECT_THROW(Grid2D(10, bad), std::invalid_argument) << "cols " << bad;
+  }
+}
+
+TEST(Grid, FillRingLeavesInteriorAlone) {
+  Grid2D g(2, 3);
+  g.fill([](long, long) { return 7.0; }, [](long, long) { return 0.0; });
+  g.fill_ring([](long i, long j) { return static_cast<double>(i * 10 + j); });
+  for (int i = -1; i <= 2; ++i) {
+    for (int j = -1; j <= 3; ++j) {
+      const bool ring = i < 0 || i >= 2 || j < 0 || j >= 3;
+      EXPECT_EQ(g.at(i, j), ring ? i * 10.0 + j : 7.0) << i << "," << j;
+    }
+  }
+}
+
 TEST(Serial, LaplaceConvergesTowardHarmonicBounds) {
   // With the hot-west-wall Laplace problem, values stay within [0,1] and the
   // column adjacent to the hot wall warms monotonically over iterations.
