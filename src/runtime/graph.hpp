@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -99,8 +100,16 @@ class TaskGraph {
 
   /// Move every spec out, in index order, leaving the graph empty and
   /// unsealed so a rewrite pass can refill it with add_task() without
-  /// copying task bodies or inputs. Throws std::logic_error once sealed.
+  /// copying task bodies or inputs. Retained contexts stay. Throws
+  /// std::logic_error once sealed.
   std::vector<TaskSpec> take_specs();
+
+  /// Keep `context` alive as long as the graph: bodies that point into a
+  /// per-solve or per-rewrite context capture a plain pointer, and the graph
+  /// owns what they point into.
+  void retain(std::shared_ptr<const void> context) {
+    retained_.push_back(std::move(context));
+  }
 
   /// A consumer edge attached to a producer's output slot.
   struct ConsumerEdge {
@@ -132,6 +141,8 @@ class TaskGraph {
   /// Double the key index (16 positions at first) and reinsert every task.
   void grow_index();
 
+  /// Declared first, so it outlives the bodies that point into it.
+  std::vector<std::shared_ptr<const void>> retained_;
   std::vector<TaskSpec> specs_;
   /// Key index: task indices (kNoTask = free) in a power-of-two table,
   /// linear probing from TaskKeyHash, keys compared through specs_. Kept at

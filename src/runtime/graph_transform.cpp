@@ -55,9 +55,10 @@ struct WindowPlan {
   std::uint32_t remap_floor = kSlotSpace;
 };
 
-/// Everything the fused bodies of one rewrite run from, shared and
-/// immutable once built: the input graph's specs, moved out whole (members
-/// stay in place, nothing is copied), and every window's flat arrays.
+/// Everything the fused bodies of one rewrite run from, owned by the graph
+/// (TaskGraph::retain) and immutable once built: the input graph's specs,
+/// moved out whole (members stay in place, nothing is copied), and every
+/// window's flat arrays.
 struct FusedPlan {
   std::vector<TaskSpec> specs;
   std::vector<WindowPlan> windows;
@@ -449,7 +450,8 @@ FuseReport fuse_supersteps(TaskGraph& graph, int k) {
   plan->inputs.reserve(producer.size());
   std::vector<TaskSpec> fused(nwindows);
   std::vector<FlowRef> external;  // one window's deduped inputs, reused
-  const std::shared_ptr<const FusedPlan> shared = plan;
+  // The graph retains the plan below; a window body is a pointer and an index.
+  const FusedPlan* const retained = plan.get();
   for (std::uint32_t w = 0; w < nwindows; ++w) {
     WindowPlan& window = plan->windows[w];
     const std::uint32_t count = window.members_end - window.members_begin;
@@ -519,14 +521,15 @@ FuseReport fuse_supersteps(TaskGraph& graph, int k) {
       throw std::invalid_argument("TaskGraph: too many inputs");
     }
     spec.inputs.assign(external.begin(), external.end());
-    spec.body = [shared, w](TaskContext& outer) {
-      run_fused(*shared, w, outer);
+    spec.body = [retained, w](TaskContext& outer) {
+      run_fused(*retained, w, outer);
     };
   }
 
   // --- rebuild: nothing below throws, so only now do specs move -----------
   // Window members stay where they are in plan->specs; every task that
   // survives unfused moves on into the rebuilt graph.
+  graph.retain(plan);
   plan->specs = graph.take_specs();
   for (std::uint32_t i = 0; i < n; ++i) {
     if (rep[i] != i) continue;  // absorbed into its window's last member

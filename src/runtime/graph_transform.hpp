@@ -76,8 +76,9 @@ struct FuseReport {
 /// Tasks per chain after fusing = ceil(members / k).
 ///
 /// Cost: one sort of the chained tasks plus work linear in tasks and flows
-/// (one producer lookup per flow); member specs are moved into the fused
-/// tasks' shared plan, never copied.
+/// (one producer lookup per flow); member specs are moved into one plan the
+/// graph retains (TaskGraph::retain), never copied, and each fused body is a
+/// pointer into that plan plus a window index.
 FuseReport fuse_supersteps(TaskGraph& graph, int k);
 
 }  // namespace repro::rt

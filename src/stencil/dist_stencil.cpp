@@ -51,6 +51,8 @@ struct TileInfo {
   /// Diagonal-tap stencils only: this tile reads the same-node diagonal's
   /// state at c.
   bool corner_local[4] = {};
+  /// Some same-node line or corner refreshes this tile's ghosts every step.
+  bool local_refresh = false;
   bool boundary = false;  ///< any remote side (paper's "boundary tile")
 };
 
@@ -106,6 +108,10 @@ TileInfo make_tile_info(const TileMap& map, int steps, int radius, bool box,
         (box || (steps > 1 && adjacent_remote));
     info.corner_local[static_cast<int>(c)] = box && diag_exists && !diag_remote;
   }
+  for (int i = 0; i < 4; ++i) {
+    info.local_refresh = info.local_refresh || info.side_local[i] ||
+                         info.corner_local[i];
+  }
   return info;
 }
 
@@ -120,22 +126,23 @@ class StatePool : public std::enable_shared_from_this<StatePool> {
   /// 11-17 %; four buffers still serve most outputs (DESIGN.md §6).
   static constexpr std::size_t kRetained = 4;
 
+  /// Every buffer is allocated with `capacity` doubles, the rank's largest
+  /// extended state, so any free buffer serves any take on the rank.
   /// Reserved up front so giving a buffer back never allocates.
-  StatePool() { free_.reserve(kRetained); }
+  explicit StatePool(std::size_t capacity) : capacity_(capacity) {
+    free_.reserve(kRetained);
+  }
 
   /// A buffer of n doubles with stale contents.
   std::shared_ptr<std::vector<double>> take(std::size_t n) {
     std::unique_ptr<std::vector<double>> storage;
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      // Prefer an exact fit: growing a smaller buffer zero-fills the growth.
-      auto it = std::find_if(free_.begin(), free_.end(),
-                             [n](const auto& v) { return v->size() == n; });
-      if (it == free_.end()) {
-        it = std::find_if(free_.begin(), free_.end(),
-                          [n](const auto& v) { return v->capacity() >= n; });
-      }
-      if (it != free_.end()) {
+      if (!free_.empty()) {
+        // Prefer an exact fit: growing a buffer's size zero-fills the growth.
+        auto it = std::find_if(free_.begin(), free_.end(),
+                               [n](const auto& v) { return v->size() == n; });
+        if (it == free_.end()) it = free_.end() - 1;
         storage = std::move(*it);
         *it = std::move(free_.back());
         free_.pop_back();
@@ -144,6 +151,7 @@ class StatePool : public std::enable_shared_from_this<StatePool> {
     if (!storage) {
       misses_.fetch_add(1, std::memory_order_relaxed);
       storage = std::make_unique<std::vector<double>>();
+      storage->reserve(capacity_);
     }
     storage->resize(n);
     return {storage.release(), GiveBack{shared_from_this()}};
@@ -171,6 +179,7 @@ class StatePool : public std::enable_shared_from_this<StatePool> {
     v.reset();  // over the cap: free outside the lock
   }
 
+  const std::size_t capacity_;
   std::mutex mu_;
   std::vector<std::unique_ptr<std::vector<double>>> free_;
   std::atomic<long long> misses_{0};
@@ -206,7 +215,8 @@ void copy_outside(const double* src, double* dst, const TileGeom& g, int r0,
   std::copy(src + bottom, src + g.size(), dst + bottom);
 }
 
-/// Immutable per-run context shared by all task bodies.
+/// Immutable per-run context shared by all task bodies. The graph retains it
+/// (TaskGraph::retain); every body captures one plain pointer to it.
 ///
 /// Spec-driven problems run their compiled stage once per iteration with
 /// radius = the spec's reach on the decomposed axes and box = diagonal taps:
@@ -277,9 +287,20 @@ struct Shared {
     hook_period = config.steps;
     steps = static_cast<int>(window);
 
-    pools.reserve(static_cast<std::size_t>(map.nodes()));
-    for (int rank = 0; rank < map.nodes(); ++rank) {
-      pools.push_back(std::make_shared<StatePool>());
+    tiles.reserve(static_cast<std::size_t>(map.tiles_r()) * map.tiles_c());
+    std::vector<std::size_t> capacity(static_cast<std::size_t>(map.nodes()));
+    for (int ti = 0; ti < map.tiles_r(); ++ti) {
+      for (int tj = 0; tj < map.tiles_c(); ++tj) {
+        const TileInfo& info = tiles.emplace_back(
+            make_tile_info(map, steps, radius, box, fuse_ready, ti, tj));
+        std::size_t& cap = capacity[static_cast<std::size_t>(info.rank)];
+        cap = std::max(cap,
+                       static_cast<std::size_t>(nfield) * info.geom.size());
+      }
+    }
+    pools.reserve(capacity.size());
+    for (const std::size_t cap : capacity) {
+      pools.push_back(std::make_shared<StatePool>(cap));
     }
   }
 
@@ -297,12 +318,14 @@ struct Shared {
   /// latency_bound 13 % and ca_fused 20 % (DESIGN.md §6).
   std::vector<std::shared_ptr<StatePool>> pools;
   SuperstepHook hook;  ///< superstep-boundary snapshot callback (may be empty)
-  /// Every tile's static facts, row-major; filled once by the Builder, read
-  /// by task bodies for their own and their neighbors' geometry.
+  /// Every tile's static facts, row-major, read by task bodies for their own
+  /// and their neighbors' geometry.
   std::vector<TileInfo> tiles;
   const TileInfo& tile(int ti, int tj) const {
     return tiles[static_cast<std::size_t>(ti) * map.tiles_c() + tj];
   }
+  /// Whether iteration k opens a superstep (receives bands and corners).
+  bool superstep_start(int k) const { return (k - 1) % steps == 0; }
   KernelVariant kernel = KernelVariant::Scalar;
   KernelTuning tuning{};
   /// Per-step graph emitted in fuse-ready shape (fuse_depth > 1): deep
@@ -345,8 +368,9 @@ void call_hook(const Shared& shared, const TileInfo& info, int k,
   shared.hook(k, info.ti, info.tj, core);
 }
 
-/// What a task publishes besides its state, decided at graph-build time so
-/// that producers and consumers agree by construction.
+/// What a task publishes besides its state. pack_plan decides it from the
+/// task's key alone, so the builder (for priorities) and the body agree by
+/// construction.
 struct PackPlan {
   bool bands[4] = {};
   bool corners[4] = {};
@@ -363,6 +387,26 @@ bool publishes_remote(const PackPlan& plan) {
   return false;
 }
 
+/// The bands and corners the task publishing state k of this tile packs.
+PackPlan pack_plan(const Shared& shared, const TileInfo& info, int k) {
+  PackPlan plan;
+  if (k >= shared.problem.iterations || k % shared.steps != 0) return plan;
+  for (Side s : kAllSides) {
+    plan.bands[static_cast<int>(s)] = info.side_deep[static_cast<int>(s)];
+  }
+  for (Corner c : kAllCorners) {
+    // We pack corner c iff the diagonal neighbor consumes from its
+    // opposite corner.
+    const int dti = d_ti(c);
+    const int dtj = d_tj(c);
+    if (!shared.map.neighbor_exists(info.ti, info.tj, dti, dtj)) continue;
+    const TileInfo& diag = shared.tile(info.ti + dti, info.tj + dtj);
+    plan.corners[static_cast<int>(c)] =
+        diag.corner_in[static_cast<int>(opposite(c))];
+  }
+  return plan;
+}
+
 // Task priorities, highest first: tasks whose outputs cross the wire leave
 // earliest (the paper's overlap argument — remote sends should depart while
 // interior work still fills the workers), then boundary tiles, then interior.
@@ -375,6 +419,233 @@ int task_priority(bool boundary, const PackPlan& plan) {
   return boundary ? kPriorityBoundary : kPriorityInterior;
 }
 
+/// Publish state + any planned bands/corners from the freshly computed
+/// extended buffer. `nplanes` is the plane count exchanged remotely (the
+/// spec path's nfield; 1 on the classic paths, where the _planes variants
+/// reduce to the single-plane pack functions byte-for-byte).
+void publish_all(rt::TaskContext& ctx, const TileInfo& info,
+                 const PackPlan& plan, int depth,
+                 std::shared_ptr<std::vector<double>> state, int nplanes) {
+  const double* ext = state->data();
+  const TileGeom& g = info.geom;
+  // Persistent-channel runs hand back a pre-registered route buffer per
+  // halo slot: pack straight into it (no allocation) and publish the
+  // fragments immediately, so remote bands depart while the state publish
+  // and bookkeeping below are still pending. Slots without a negotiated
+  // route (default runs, local fused edges) take the classic path.
+  for (Side s : kAllSides) {
+    if (plan.bands[static_cast<int>(s)]) {
+      const auto slot = kSlotBand(s);
+      if (auto buf = ctx.acquire_route_buffer(slot)) {
+        pack_band_planes_into(buf->data(), ext, g, s, depth, nplanes);
+        ctx.publish_fragments(slot, std::move(buf));
+      } else {
+        ctx.publish(slot, pack_band_planes(ext, g, s, depth, nplanes));
+      }
+    }
+  }
+  for (Corner c : kAllCorners) {
+    if (plan.corners[static_cast<int>(c)]) {
+      const auto slot = kSlotCorner(c);
+      if (auto buf = ctx.acquire_route_buffer(slot)) {
+        pack_corner_planes_into(buf->data(), ext, g, c, depth, nplanes);
+        ctx.publish_fragments(slot, std::move(buf));
+      } else {
+        ctx.publish(slot, pack_corner_planes(ext, g, c, depth, nplanes));
+      }
+    }
+  }
+  ctx.publish(kSlotState, std::move(state));
+}
+
+/// INIT(0, ti, tj): sample the tile's extended initial state (and its
+/// coefficient planes) and publish it.
+void run_init(Shared& shared, rt::TaskContext& ctx) {
+  const TileInfo& tile_info = shared.tile(ctx.key().b, ctx.key().c);
+  const TileGeom& g = tile_info.geom;
+  const TileMap& map = shared.map;
+  const long gr0 = map.row0(tile_info.ti);
+  const long gc0 = map.col0(tile_info.tj);
+
+  const int nfield = shared.nfield;
+  auto state = shared.pools[static_cast<std::size_t>(tile_info.rank)]->take(
+      static_cast<std::size_t>(nfield) * g.size());
+  double* ext = state->data();
+  if (shared.program) {
+    // Spec path: every field plane at every padded cell samples the same
+    // spec_sample the serial oracle uses.
+    for (int c = 0; c < nfield; ++c) {
+      double* dst = ext + static_cast<std::size_t>(c) * g.size();
+      for (int i = -g.gn; i < g.h + g.gs; ++i) {
+        for (int j = -g.gw; j < g.w + g.ge; ++j) {
+          dst[g.idx(i, j)] =
+              spec_sample(*shared.program, shared.problem, c, gr0 + i, gc0 + j);
+        }
+      }
+    }
+  } else {
+    for (int i = -g.gn; i < g.h + g.gs; ++i) {
+      for (int j = -g.gw; j < g.w + g.ge; ++j) {
+        const long gi = gr0 + i;
+        const long gj = gc0 + j;
+        const bool inside =
+            gi >= 0 && gi < map.rows() && gj >= 0 && gj < map.cols();
+        ext[g.idx(i, j)] = inside ? shared.problem.initial(gi, gj)
+                                  : shared.problem.boundary(gi, gj);
+      }
+    }
+  }
+
+  // Variable-coefficient problems: materialize the coefficient planes over
+  // the full extended geometry (the CA scheme evaluates the stencil inside
+  // the ghost bands too, so planes must cover them).
+  if (shared.problem.coefficient) {
+    std::vector<double> coeff(kCoeffPlanes * g.size());
+    for (int i = -g.gn; i < g.h + g.gs; ++i) {
+      for (int j = -g.gw; j < g.w + g.ge; ++j) {
+        const auto w = shared.problem.coefficient(gr0 + i, gc0 + j);
+        for (int plane = 0; plane < kCoeffPlanes; ++plane) {
+          coeff[plane * g.size() + g.idx(i, j)] =
+              w[static_cast<std::size_t>(plane)];
+        }
+      }
+    }
+    ctx.publish(kSlotCoeff, std::move(coeff));
+  }
+  if (shared.hook) call_hook(shared, tile_info, 0, ext);
+  publish_all(ctx, tile_info, pack_plan(shared, tile_info, 0),
+              shared.radius * shared.steps, std::move(state), nfield);
+}
+
+/// STEP(k, ti, tj): one Jacobi iteration of the tile, inputs in the order
+/// Builder::make_step_task declares them.
+void run_step(Shared& shared, rt::TaskContext& ctx) {
+  const int k = ctx.key().a;
+  const TileInfo& tile_info = shared.tile(ctx.key().b, ctx.key().c);
+  const TileGeom& g = tile_info.geom;
+  const int steps = shared.steps;
+  const bool start = shared.superstep_start(k);
+  const int radius = shared.radius;
+  const int exchange_depth = radius * steps;
+  const int nfield = shared.nfield;
+  const std::size_t plane = g.size();
+
+  // 1. The kernel's input. A step that refreshes nothing — no superstep
+  //    start, no same-node line or corner — reads its previous state
+  //    directly: every fused member after its window's first, and the inner
+  //    steps of a CA tile without same-node neighbors. Any other step
+  //    assembles in this worker's scratch, its one full-tile pass: previous
+  //    own state (covers the core, the still-valid redundant bands, and the
+  //    Dirichlet ring)...
+  std::span<const double> prev = ctx.input(0);
+  const double* in = prev.data();
+  if (start || tile_info.local_refresh) {
+    double* assembled = worker_scratch(prev.size());
+    std::copy(prev.begin(), prev.end(), assembled);
+
+    // 2. ...refresh radius-deep local ghost lines (full extended extent),
+    //    then (diagonal-tap stencils) local corner blocks.
+    std::size_t next_input = 1;
+    for (Side s : kAllSides) {
+      if (!tile_info.side_local[static_cast<int>(s)]) continue;
+      const TileInfo& nbr =
+          shared.tile(tile_info.ti + d_ti(s), tile_info.tj + d_tj(s));
+      copy_local_line_planes(assembled, g, s, ctx.input(next_input).data(),
+                             nbr.geom, radius, nfield);
+      ++next_input;
+    }
+    for (Corner c : kAllCorners) {
+      if (!tile_info.corner_local[static_cast<int>(c)]) continue;
+      const TileInfo& diag =
+          shared.tile(tile_info.ti + d_ti(c), tile_info.tj + d_tj(c));
+      copy_local_corner_planes(assembled, g, c, ctx.input(next_input).data(),
+                               diag.geom, nfield);
+      ++next_input;
+    }
+
+    // 3. ...and at superstep starts overwrite the deep remote bands and
+    //    corners with freshly received data.
+    if (start) {
+      for (Side s : kAllSides) {
+        if (!tile_info.side_deep[static_cast<int>(s)]) continue;
+        unpack_band_planes(assembled, g, s, ctx.input(next_input),
+                           exchange_depth, nfield);
+        ++next_input;
+      }
+      for (Corner c : kAllCorners) {
+        if (!tile_info.corner_in[static_cast<int>(c)]) continue;
+        unpack_corner_planes(assembled, g, c, ctx.input(next_input),
+                             exchange_depth, nfield);
+        ++next_input;
+      }
+    }
+    in = assembled;
+  }
+
+  // 4. Compute the (possibly shrunken) region for this inner step: the
+  //    valid region loses `radius` layers per step on deep sides (the
+  //    remote sides classically; every neighbor side when fuse-ready).
+  const int jj = (k - 1) % steps;  // inner step within the superstep
+  const int shrink = radius * (jj + 1);
+  int r0 = tile_info.side_deep[0] ? -(exchange_depth - shrink) : 0;
+  int r1 = g.h + (tile_info.side_deep[1] ? exchange_depth - shrink : 0);
+  int c0 = tile_info.side_deep[2] ? -(exchange_depth - shrink) : 0;
+  int c1 = g.w + (tile_info.side_deep[3] ? exchange_depth - shrink : 0);
+
+  if (shared.ratio < 1.0) {
+    // Kernel-time tuning (paper section VI-D): update only a ratio-scaled
+    // sub-rectangle. Timing experiments only.
+    r1 = r0 + std::max(1, static_cast<int>(std::lround(shared.ratio *
+                                                       (r1 - r0))));
+    c1 = c0 + std::max(1, static_cast<int>(std::lround(shared.ratio *
+                                                       (c1 - c0))));
+  }
+
+  // 5. The output comes from the rank's pool and receives only what the
+  //    kernel leaves unwritten: the ring, stale ghost cells and, when
+  //    ratio < 1, the core outside the region on written planes; frozen
+  //    spec z-boundary planes whole.
+  auto state = shared.pools[static_cast<std::size_t>(tile_info.rank)]->take(
+      prev.size());
+  double* out = state->data();
+  // The stage writes the interior z planes [zlo, zlo + nz).
+  const int zlo = shared.program ? shared.program->zlo : 0;
+  const int nz = shared.program ? shared.program->nz : 1;
+  for (int p = 0; p < nfield; ++p) {
+    const std::size_t off = static_cast<std::size_t>(p) * plane;
+    if (p >= zlo && p < zlo + nz) {
+      copy_outside(in + off, out + off, g, r0, r1, c0, c1);
+    } else {
+      std::copy_n(in + off, plane, out + off);
+    }
+  }
+  if (shared.program) {
+    apply_program_stage(in, out, g, *shared.program, r0, r1, c0, c1,
+                        shared.kernel, shared.tuning);
+  } else if (shared.problem.coefficient) {
+    const auto coeff = ctx.input(ctx.num_inputs() - 1);
+    jacobi5_var(in, out, g, coeff.data(), r0, r1, c0, c1);
+  } else {
+    // Constant-coefficient path: dispatch the selected kernel variant
+    // (bit-identical to jacobi5 by construction, see kernel_opt.hpp).
+    jacobi5_opt(in, out, g, shared.problem.weights, r0, r1, c0, c1,
+                shared.kernel, shared.tuning);
+  }
+  shared.computed_points.fetch_add(static_cast<long long>(r1 - r0) * (c1 - c0),
+                                   std::memory_order_relaxed);
+
+  // The tile is globally consistent again at superstep boundaries — the
+  // natural checkpoint instant. Fused windows keep the original cadence:
+  // hook_period is the pre-fuse superstep length, and the tile core is
+  // consistent at every one of those interior boundaries (all deep sides
+  // shrink uniformly past the core only at window end).
+  if (shared.hook && k % shared.hook_period == 0) {
+    call_hook(shared, tile_info, k, out);
+  }
+  publish_all(ctx, tile_info, pack_plan(shared, tile_info, k), exchange_depth,
+              std::move(state), nfield);
+}
+
 class Builder {
  public:
   Builder(const Problem& problem, const DistConfig& config)
@@ -383,25 +654,16 @@ class Builder {
         key_space_(config.key_space),
         priority_bias_(config.priority_bias),
         lane_(config.lane),
-        persistent_(config.persistent) {
-    const TileMap& map = shared_->map;
-    auto& tiles = shared_->tiles;
-    tiles.reserve(static_cast<std::size_t>(map.tiles_r()) * map.tiles_c());
-    for (int ti = 0; ti < map.tiles_r(); ++ti) {
-      for (int tj = 0; tj < map.tiles_c(); ++tj) {
-        tiles.push_back(make_tile_info(map, shared_->steps, shared_->radius,
-                                       shared_->box, shared_->fuse_ready, ti,
-                                       tj));
-      }
-    }
-  }
+        persistent_(config.persistent) {}
 
   const TileMap& map() const { return shared_->map; }
   std::shared_ptr<Shared> shared() const { return shared_; }
 
   const TileInfo& tile(int ti, int tj) const { return shared_->tile(ti, tj); }
 
+  /// Every body points into Shared, which the graph keeps alive.
   void build(rt::TaskGraph& graph) {
+    graph.retain(shared_);
     const TileMap& map = shared_->map;
     const int iters = shared_->problem.iterations;
     for (int ti = 0; ti < map.tiles_r(); ++ti) {
@@ -428,8 +690,6 @@ class Builder {
   std::uint32_t type_base() const { return type_base_; }
 
  private:
-  bool superstep_start(int k) const { return (k - 1) % shared_->steps == 0; }
-
   /// Persistent route id for the halo stream published by producer tile
   /// (ti, tj) on output slot `slot` (one id shared by every superstep of
   /// that stream). Bit layout: 63 = route marker, [36..55] = key_space
@@ -471,134 +731,16 @@ class Builder {
     flow.route_fragments = static_cast<std::uint16_t>(shared_->nfield);
   }
 
-  /// Does the task publishing state k of this tile pack remote bands/corners?
-  PackPlan pack_plan(const TileInfo& info, int k) const {
-    PackPlan plan;
-    const int iters = shared_->problem.iterations;
-    if (k >= iters || k % shared_->steps != 0) return plan;
-    for (Side s : kAllSides) {
-      plan.bands[static_cast<int>(s)] = info.side_deep[static_cast<int>(s)];
-    }
-    for (Corner c : kAllCorners) {
-      // We pack corner c iff the diagonal neighbor consumes from its
-      // opposite corner.
-      const int dti = d_ti(c);
-      const int dtj = d_tj(c);
-      if (!shared_->map.neighbor_exists(info.ti, info.tj, dti, dtj)) continue;
-      const TileInfo& diag = tile(info.ti + dti, info.tj + dtj);
-      plan.corners[static_cast<int>(c)] =
-          diag.corner_in[static_cast<int>(opposite(c))];
-    }
-    return plan;
-  }
-
-  /// Publish state + any planned bands/corners from the freshly computed
-  /// extended buffer. `nplanes` is the plane count exchanged remotely (the
-  /// spec path's nfield; 1 on the classic paths, where the _planes variants
-  /// reduce to the single-plane pack functions byte-for-byte).
-  static void publish_all(rt::TaskContext& ctx, const TileInfo& info,
-                          const PackPlan& plan, int depth,
-                          std::shared_ptr<std::vector<double>> state,
-                          int nplanes) {
-    const double* ext = state->data();
-    const TileGeom& g = info.geom;
-    // Persistent-channel runs hand back a pre-registered route buffer per
-    // halo slot: pack straight into it (no allocation) and publish the
-    // fragments immediately, so remote bands depart while the state publish
-    // and bookkeeping below are still pending. Slots without a negotiated
-    // route (default runs, local fused edges) take the classic path.
-    for (Side s : kAllSides) {
-      if (plan.bands[static_cast<int>(s)]) {
-        const auto slot = kSlotBand(s);
-        if (auto buf = ctx.acquire_route_buffer(slot)) {
-          pack_band_planes_into(buf->data(), ext, g, s, depth, nplanes);
-          ctx.publish_fragments(slot, std::move(buf));
-        } else {
-          ctx.publish(slot, pack_band_planes(ext, g, s, depth, nplanes));
-        }
-      }
-    }
-    for (Corner c : kAllCorners) {
-      if (plan.corners[static_cast<int>(c)]) {
-        const auto slot = kSlotCorner(c);
-        if (auto buf = ctx.acquire_route_buffer(slot)) {
-          pack_corner_planes_into(buf->data(), ext, g, c, depth, nplanes);
-          ctx.publish_fragments(slot, std::move(buf));
-        } else {
-          ctx.publish(slot, pack_corner_planes(ext, g, c, depth, nplanes));
-        }
-      }
-    }
-    ctx.publish(kSlotState, std::move(state));
-  }
-
   rt::TaskSpec make_init_task(const TileInfo& info) {
     rt::TaskSpec spec;
     spec.key = init_key(info.ti, info.tj);
     spec.rank = info.rank;
     spec.lane = lane_;
     spec.klass = "init";
-
-    auto shared = shared_;
-    const TileInfo* tile = &shared_->tile(info.ti, info.tj);
-    const PackPlan plan = pack_plan(info, 0);
-    spec.priority = task_priority(info.boundary, plan) + priority_bias_;
-    const int depth = shared_->radius * shared_->steps;
-    spec.body = [shared, tile, plan, depth](rt::TaskContext& ctx) {
-      const TileInfo& tile_info = *tile;
-      const TileGeom& g = tile_info.geom;
-      const TileMap& map = shared->map;
-      const long gr0 = map.row0(tile_info.ti);
-      const long gc0 = map.col0(tile_info.tj);
-
-      const int nfield = shared->nfield;
-      auto state = shared->pools[static_cast<std::size_t>(tile_info.rank)]
-                       ->take(static_cast<std::size_t>(nfield) * g.size());
-      double* ext = state->data();
-      if (shared->program) {
-        // Spec path: every field plane at every padded cell samples the same
-        // spec_sample the serial oracle uses.
-        for (int c = 0; c < nfield; ++c) {
-          double* dst = ext + static_cast<std::size_t>(c) * g.size();
-          for (int i = -g.gn; i < g.h + g.gs; ++i) {
-            for (int j = -g.gw; j < g.w + g.ge; ++j) {
-              dst[g.idx(i, j)] = spec_sample(*shared->program,
-                                             shared->problem, c, gr0 + i,
-                                             gc0 + j);
-            }
-          }
-        }
-      } else {
-        for (int i = -g.gn; i < g.h + g.gs; ++i) {
-          for (int j = -g.gw; j < g.w + g.ge; ++j) {
-            const long gi = gr0 + i;
-            const long gj = gc0 + j;
-            const bool inside = gi >= 0 && gi < map.rows() && gj >= 0 &&
-                                gj < map.cols();
-            ext[g.idx(i, j)] = inside ? shared->problem.initial(gi, gj)
-                                      : shared->problem.boundary(gi, gj);
-          }
-        }
-      }
-
-      // Variable-coefficient problems: materialize the coefficient planes
-      // over the full extended geometry (the CA scheme evaluates the stencil
-      // inside the ghost bands too, so planes must cover them).
-      if (shared->problem.coefficient) {
-        std::vector<double> coeff(kCoeffPlanes * g.size());
-        for (int i = -g.gn; i < g.h + g.gs; ++i) {
-          for (int j = -g.gw; j < g.w + g.ge; ++j) {
-            const auto w = shared->problem.coefficient(gr0 + i, gc0 + j);
-            for (int plane = 0; plane < kCoeffPlanes; ++plane) {
-              coeff[plane * g.size() + g.idx(i, j)] =
-                  w[static_cast<std::size_t>(plane)];
-            }
-          }
-        }
-        ctx.publish(kSlotCoeff, std::move(coeff));
-      }
-      if (shared->hook) call_hook(*shared, tile_info, 0, ext);
-      publish_all(ctx, tile_info, plan, depth, std::move(state), nfield);
+    spec.priority = task_priority(info.boundary, pack_plan(*shared_, info, 0)) +
+                    priority_bias_;
+    spec.body = [shared = shared_.get()](rt::TaskContext& ctx) {
+      run_init(*shared, ctx);
     };
     return spec;
   }
@@ -608,7 +750,7 @@ class Builder {
     spec.key = step_key(k, info.ti, info.tj);
     spec.rank = info.rank;
     spec.lane = lane_;
-    spec.priority = task_priority(info.boundary, pack_plan(info, k)) +
+    spec.priority = task_priority(info.boundary, pack_plan(*shared_, info, k)) +
                     priority_bias_;
     spec.klass = info.boundary ? "boundary" : "interior";
     // Dependence-cone metadata: each tile's STEP tasks form one totally
@@ -621,12 +763,12 @@ class Builder {
                   static_cast<std::uint64_t>(info.tj));
     spec.chain_step = k;
 
-    const bool start = superstep_start(k);
+    const bool start = shared_->superstep_start(k);
     const bool variable = static_cast<bool>(shared_->problem.coefficient);
 
     // Input order: own prev state; local neighbor states (N,S,W,E); then at
     // superstep starts, remote bands (N,S,W,E) and remote corners
-    // (NW,NE,SW,SE). Body indexes inputs in exactly this order.
+    // (NW,NE,SW,SE). run_step indexes inputs in exactly this order.
     spec.inputs.reserve(step_inputs(info, start, variable));
     spec.inputs.push_back({state_key(k - 1, info.ti, info.tj),
                            kSlotState});
@@ -680,129 +822,8 @@ class Builder {
       // last input so the earlier positional indexing is undisturbed.
       spec.inputs.push_back({init_key(info.ti, info.tj), kSlotCoeff});
     }
-
-    auto shared = shared_;
-    const TileInfo* tile = &shared_->tile(info.ti, info.tj);
-    const PackPlan plan = pack_plan(info, k);
-    spec.body = [shared, tile, plan, k, start,
-                 variable](rt::TaskContext& ctx) {
-      const TileInfo& tile_info = *tile;
-      const TileGeom& g = tile_info.geom;
-      const int steps = shared->steps;
-
-      // 1. Assemble the kernel's input in this worker's scratch, the body's
-      //    one full-tile pass: previous own state (covers the core, the
-      //    still-valid redundant bands, and the Dirichlet ring)...
-      const int radius = shared->radius;
-      const int exchange_depth = radius * steps;
-      const int nfield = shared->nfield;
-      const std::size_t plane = g.size();
-      std::span<const double> prev = ctx.input(0);
-      double* assembled = worker_scratch(prev.size());
-      std::copy(prev.begin(), prev.end(), assembled);
-
-      // 2. ...refresh radius-deep local ghost lines (full extended extent),
-      //    then (diagonal-tap stencils) local corner blocks.
-      std::size_t next_input = 1;
-      for (Side s : kAllSides) {
-        if (!tile_info.side_local[static_cast<int>(s)]) continue;
-        const TileInfo& nbr =
-            shared->tile(tile_info.ti + d_ti(s), tile_info.tj + d_tj(s));
-        copy_local_line_planes(assembled, g, s,
-                               ctx.input(next_input).data(), nbr.geom, radius,
-                               nfield);
-        ++next_input;
-      }
-      for (Corner c : kAllCorners) {
-        if (!tile_info.corner_local[static_cast<int>(c)]) continue;
-        const TileInfo& diag =
-            shared->tile(tile_info.ti + d_ti(c), tile_info.tj + d_tj(c));
-        copy_local_corner_planes(assembled, g, c,
-                                 ctx.input(next_input).data(), diag.geom,
-                                 nfield);
-        ++next_input;
-      }
-
-      // 3. ...and at superstep starts overwrite the deep remote bands and
-      //    corners with freshly received data.
-      if (start) {
-        for (Side s : kAllSides) {
-          if (!tile_info.side_deep[static_cast<int>(s)]) continue;
-          unpack_band_planes(assembled, g, s, ctx.input(next_input),
-                             exchange_depth, nfield);
-          ++next_input;
-        }
-        for (Corner c : kAllCorners) {
-          if (!tile_info.corner_in[static_cast<int>(c)]) continue;
-          unpack_corner_planes(assembled, g, c, ctx.input(next_input),
-                               exchange_depth, nfield);
-          ++next_input;
-        }
-      }
-
-      // 4. Compute the (possibly shrunken) region for this inner step: the
-      //    valid region loses `radius` layers per step on deep sides (the
-      //    remote sides classically; every neighbor side when fuse-ready).
-      const int jj = (k - 1) % steps;  // inner step within the superstep
-      const int shrink = radius * (jj + 1);
-      int r0 = tile_info.side_deep[0] ? -(exchange_depth - shrink) : 0;
-      int r1 = g.h + (tile_info.side_deep[1] ? exchange_depth - shrink : 0);
-      int c0 = tile_info.side_deep[2] ? -(exchange_depth - shrink) : 0;
-      int c1 = g.w + (tile_info.side_deep[3] ? exchange_depth - shrink : 0);
-
-      if (shared->ratio < 1.0) {
-        // Kernel-time tuning (paper section VI-D): update only a
-        // ratio-scaled sub-rectangle. Timing experiments only.
-        r1 = r0 + std::max(1, static_cast<int>(std::lround(
-                                  shared->ratio * (r1 - r0))));
-        c1 = c0 + std::max(1, static_cast<int>(std::lround(
-                                  shared->ratio * (c1 - c0))));
-      }
-
-      // 5. The output comes from the rank's pool and receives only what the
-      //    kernel leaves unwritten: the ring, stale ghost cells and, when
-      //    ratio < 1, the core outside the region on written planes; frozen
-      //    spec z-boundary planes whole.
-      auto state = shared->pools[static_cast<std::size_t>(tile_info.rank)]
-                       ->take(prev.size());
-      double* out = state->data();
-      // The stage writes the interior z planes [zlo, zlo + nz).
-      const int zlo = shared->program ? shared->program->zlo : 0;
-      const int nz = shared->program ? shared->program->nz : 1;
-      for (int p = 0; p < nfield; ++p) {
-        const std::size_t off = static_cast<std::size_t>(p) * plane;
-        if (p >= zlo && p < zlo + nz) {
-          copy_outside(assembled + off, out + off, g, r0, r1, c0, c1);
-        } else {
-          std::copy_n(assembled + off, plane, out + off);
-        }
-      }
-      if (shared->program) {
-        apply_program_stage(assembled, out, g, *shared->program, r0, r1, c0,
-                            c1, shared->kernel, shared->tuning);
-      } else if (variable) {
-        const auto coeff = ctx.input(ctx.num_inputs() - 1);
-        jacobi5_var(assembled, out, g, coeff.data(), r0, r1, c0, c1);
-      } else {
-        // Constant-coefficient path: dispatch the selected kernel variant
-        // (bit-identical to jacobi5 by construction, see kernel_opt.hpp).
-        jacobi5_opt(assembled, out, g, shared->problem.weights, r0, r1, c0,
-                    c1, shared->kernel, shared->tuning);
-      }
-      shared->computed_points.fetch_add(
-          static_cast<long long>(r1 - r0) * (c1 - c0),
-          std::memory_order_relaxed);
-
-      // The tile is globally consistent again at superstep boundaries — the
-      // natural checkpoint instant. Fused windows keep the original cadence:
-      // hook_period is the pre-fuse superstep length, and the tile core is
-      // consistent at every one of those interior boundaries (all deep sides
-      // shrink uniformly past the core only at window end).
-      if (shared->hook && k % shared->hook_period == 0) {
-        call_hook(*shared, tile_info, k, out);
-      }
-      publish_all(ctx, tile_info, plan, exchange_depth, std::move(state),
-                  nfield);
+    spec.body = [shared = shared_.get()](rt::TaskContext& ctx) {
+      run_step(*shared, ctx);
     };
     return spec;
   }
@@ -831,13 +852,6 @@ struct SolveSubgraph::Impl {
 };
 
 int SolveSubgraph::nodes() const { return impl_->builder.map().nodes(); }
-
-std::size_t SolveSubgraph::tasks() const {
-  const Shared& shared = *impl_->builder.shared();
-  const TileMap& map = shared.map;
-  const auto tiles = static_cast<std::size_t>(map.tiles_r()) * map.tiles_c();
-  return tiles * static_cast<std::size_t>(1 + shared.problem.iterations);
-}
 
 Grid2D SolveSubgraph::gather(const rt::Runtime& runtime) const {
   return gather_plane(runtime, 0);

@@ -176,13 +176,13 @@ DistResult run_distributed(const Problem& problem, const DistConfig& config);
 /// add_solve_subgraph(). After a runtime has executed the graph, gather()
 /// reassembles the final field from the retained state buffers. The handle
 /// stays valid for exactly one run — gather before Runtime::release_run().
+/// The graph owns what the solve's task bodies point into, so it may be
+/// fused, sealed and run after every handle is gone.
 class SolveSubgraph {
  public:
   /// Virtual process count the subgraph was decomposed for; must equal the
   /// executing runtime's nranks.
   int nodes() const;
-  /// Tasks this solve contributed to the graph.
-  std::size_t tasks() const;
   /// Gather the solve's final field (spec runs: z plane 0). Throws if the
   /// graph has not run.
   Grid2D gather(const rt::Runtime& runtime) const;

@@ -156,6 +156,24 @@ TaskSpec bare_task(const TaskKey& k) {
   return spec;
 }
 
+TEST(TaskGraph, RetainedContextsLiveAsLongAsTheGraph) {
+  // Bodies may point into a retained context; take_specs() hands the bodies
+  // to a rewrite pass, so the context must stay with the graph.
+  auto context = std::make_shared<const int>(7);
+  const std::weak_ptr<const int> watch = context;
+  {
+    TaskGraph graph;
+    graph.retain(std::move(context));
+    graph.add_task(bare_task(key(1)));
+    std::vector<TaskSpec> specs = graph.take_specs();
+    EXPECT_FALSE(watch.expired());
+    graph.add_task(std::move(specs[0]));
+    graph.seal(1);
+    EXPECT_FALSE(watch.expired());
+  }
+  EXPECT_TRUE(watch.expired());
+}
+
 TEST(TaskGraph, HundredThousandKeysStayFindableAcrossRehashes) {
   // Spread over every key field, negatives included. Right after each
   // power-of-two size (where the index has just grown) every key added so

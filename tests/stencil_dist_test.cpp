@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 
+#include "runtime/graph_transform.hpp"
 #include "stencil/dist_stencil.hpp"
 #include "stencil/serial.hpp"
 
@@ -337,6 +338,34 @@ TEST(DistStencil, KernelRatioFieldsArePinned) {
       grid_hash(
           run_distributed(random_variable_problem(40, 36, 7, 5), config).grid),
       0x6281aee553bc3dbfull);
+
+  // One tile per node: no tile has a same-node neighbor, so every inner
+  // step refreshes nothing and its kernel reads the previous state directly
+  // instead of an assembled copy. Recorded from the step body that always
+  // assembled.
+  const Pin lone_pins[] = {
+      {1.0, 2, 0x6865206710b76bb3ull}, {0.5, 2, 0x1bb17772a6f5d5e6ull},
+      {0.3, 2, 0x536762be195782fcull}, {1.0, 3, 0x6865206710b76bb3ull},
+      {0.5, 3, 0x73c11dffa571b8c7ull}, {0.3, 3, 0x40aca5cbb4be1b64ull},
+  };
+  const Problem lone = random_problem(20, 18, 7, 5);
+  for (const Pin& pin : lone_pins) {
+    for (const KernelVariant kernel :
+         {KernelVariant::Scalar, KernelVariant::Vector}) {
+      DistConfig lone_config;
+      lone_config.decomp = {10, 9, 2, 2};
+      lone_config.steps = pin.steps;
+      lone_config.kernel_ratio = pin.ratio;
+      lone_config.kernel = kernel;
+      EXPECT_EQ(grid_hash(run_distributed(lone, lone_config).grid), pin.hash)
+          << "one tile per node, ratio " << pin.ratio << " steps "
+          << pin.steps << " kernel " << kernel_variant_name(kernel);
+    }
+  }
+  EXPECT_EQ(
+      grid_hash(
+          run_distributed(random_variable_problem(20, 18, 7, 5), config).grid),
+      0x575e403956ab0e2full);
 }
 
 TEST(DistStencil, StateBufferOutlivesSolveAndRuntime) {
@@ -368,6 +397,53 @@ TEST(DistStencil, StateBufferOutlivesSolveAndRuntime) {
     }
   }
   state.reset();
+}
+
+TEST(DistStencil, GraphOwnsWhatItsBodiesPointInto) {
+  // Task bodies capture plain pointers into the solve's context and into
+  // the fused plan; the graph keeps both alive. The only SolveSubgraph
+  // handle is gone before the graph is fused, sealed and run, and each
+  // tile's final state is read back under the documented keys.
+  const int iters = 8;
+  const int steps = 2;
+  const std::uint32_t key_space = 3;
+  const Problem problem = random_problem(20, 18, iters, 9);
+  const Grid2D expected = solve_serial(problem);
+  for (const int fuse : {1, 2}) {
+    DistConfig config;
+    config.decomp = {10, 9, 2, 2};  // one tile per node
+    config.steps = steps;
+    config.fuse_depth = fuse;
+    config.key_space = key_space;
+    rt::TaskGraph graph;
+    const int window = add_solve_subgraph(graph, problem, config).fuse_window();
+    rt::fuse_supersteps(graph, window);
+    graph.seal(4);
+    rt::Config rt_config;
+    rt_config.nranks = 4;
+    rt_config.workers_per_rank = 2;
+    rt::Runtime runtime(rt_config);
+    runtime.run(graph);
+    // Every side facing a (remote) neighbor carries a ghost band as deep as
+    // the exchange window; the domain edge carries the one-deep ring.
+    const int depth = steps * fuse;
+    for (int ti = 0; ti < 2; ++ti) {
+      for (int tj = 0; tj < 2; ++tj) {
+        const rt::Buffer state = runtime.result(
+            rt::TaskKey{key_space * 2 + 1, iters, ti, tj}, 0);
+        const TileGeom g{10, 9, ti == 0 ? 1 : depth, ti == 0 ? depth : 1,
+                         tj == 0 ? 1 : depth, tj == 0 ? depth : 1};
+        ASSERT_EQ(state->size(), g.size()) << "fuse " << fuse;
+        for (int i = 0; i < g.h; ++i) {
+          for (int j = 0; j < g.w; ++j) {
+            EXPECT_EQ((*state)[g.idx(i, j)],
+                      expected.at(10 * ti + i, 9 * tj + j))
+                << "fuse " << fuse << " tile (" << ti << "," << tj << ")";
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(DistStencil, ResidentRuntimeRunsSolvesOfDifferentTileShapes) {
@@ -430,6 +506,30 @@ TEST(DistStencil, StateBuffersComeFromRankPools) {
     EXPECT_GE(allocs, 16u);
     EXPECT_LT(allocs, static_cast<std::uint64_t>(step_tasks / 2));
   }
+
+  // Fused windows on 6x6 tiles of 16, one worker per rank: a fuse-ready
+  // tile's ghost depth depends on which sides have neighbors, so one rank's
+  // tiles have three extents. Each pool buffer holds the rank's largest
+  // extended state, so any free buffer serves any tile: after the 36 INIT
+  // misses only a few per rank remain (8 in total measured; the bound
+  // allows 8 per rank). A pool that needs a free buffer at least as large
+  // as the tile missed 171-191 times here.
+  const Problem mixed = random_problem(96, 96, 16, 3);
+  DistConfig fused;
+  fused.decomp = {16, 16, 2, 2};
+  fused.steps = 2;
+  fused.fuse_depth = 2;
+  rt::TaskGraph fused_graph;
+  const SolveSubgraph fused_subgraph =
+      add_solve_subgraph(fused_graph, mixed, fused);
+  rt::fuse_supersteps(fused_graph, fused_subgraph.fuse_window());
+  rt::Runtime fused_runtime(rt_config);
+  fused_runtime.run(fused_graph);
+  EXPECT_EQ(Grid2D::max_abs_diff(fused_subgraph.gather(fused_runtime),
+                                 solve_serial(mixed)),
+            0.0);
+  EXPECT_GE(fused_subgraph.state_buffer_allocs(), 36);
+  EXPECT_LE(fused_subgraph.state_buffer_allocs(), 36 + 4 * 8);
 }
 
 TEST(DistStencil, ValidatesConfiguration) {
