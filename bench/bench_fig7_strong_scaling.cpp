@@ -12,6 +12,7 @@
 #include "bench_common.hpp"
 #include "obs/trace_analysis.hpp"
 #include "sim/models.hpp"
+#include "spec/stages.hpp"
 #include "spec/stencil_spec.hpp"
 #include "spmv/petsc_like.hpp"
 #include "stencil/dist_stencil.hpp"
@@ -37,12 +38,10 @@ int main(int argc, char** argv) {
   sim::LossModel loss;
   loss.loss_rate = options.get_double("loss", 0.0);
   // --stencil= sweeps the figure over any named spec (spec/stencil_spec.hpp).
-  // The default star5 keeps the paper configuration: the host rows then run
-  // the classic hard-wired 5-point path, bit-identical to the pre-spec bench.
+  // The default star5 is the paper configuration.
   const std::string stencil_name =
       options.get_choice("stencil", "star5", spec::spec_names());
   const spec::StencilSpec stencil_spec = spec::spec_by_name(stencil_name);
-  const bool spec_path = stencil_name != "star5";
   report.set_param("iters", obs::Json(iters));
   report.set_param("steps", obs::Json(steps));
   report.set_param("fuse", obs::Json(fuse));
@@ -145,17 +144,13 @@ int main(int argc, char** argv) {
             << " iters, 4 virtual nodes / 4 SpMV ranks, "
             << stencil::kernel_variant_name(host_kernel) << " kernel, "
             << rt::sched_policy_name(host_sched) << " scheduler):\n";
-  // star5 stays on the classic hard-wired problem so the default rows remain
-  // byte-identical to the pre-spec bench; other specs run the compiled
-  // spec stage.
   const stencil::Problem problem =
-      spec_path ? stencil::spec_problem(stencil_spec, n, n, host_iters)
-                : stencil::laplace_problem(n, host_iters);
+      stencil::spec_problem(stencil_spec, n, n, host_iters);
   // Every real execution below shares one registry; the report carries its
   // snapshot so the host run is reproducible from the JSON alone.
   auto metrics = std::make_shared<obs::MetricsRegistry>();
   Table real({"implementation", "time ms", "messages", "MB moved"});
-  if (spec_path) {
+  if (!spec::compile_spec(stencil_spec).star5) {
     std::cout << "  (skipping PETSc-like SpMV row: its CSR assembly encodes "
                  "the 5-point stencil only)\n";
   } else {

@@ -90,13 +90,9 @@ int run_measured(const Options& options) {
   const rt::SchedPolicy sched = rt::parse_sched_policy(
       options.get_choice("sched", "priority",
                          {"priority", "fifo", "lifo", "steal"}));
-  // --stencil= reruns the comparison over any named spec. star5 (default)
-  // keeps the classic hard-wired 5-point path so the default run stays
-  // byte-identical to the pre-spec bench; other specs run the compiled
-  // spec stage.
+  // --stencil= reruns the comparison over any named spec (star5 default).
   const std::string stencil_name =
       options.get_choice("stencil", "star5", spec::spec_names());
-  const bool spec_path = stencil_name != "star5";
 
   obs::RunReport report("bench_fig8_kernel_ratio_measured");
   report.set_param("stencil", obs::Json(stencil_name));
@@ -125,9 +121,7 @@ int run_measured(const Options& options) {
   report.set_derived("avx2_active", obs::Json(stencil::avx2_selected({})));
 
   const stencil::Problem problem =
-      spec_path ? stencil::spec_problem(spec::spec_by_name(stencil_name), n,
-                                        n, iters)
-                : stencil::random_problem(n, n, iters);
+      stencil::spec_problem(spec::spec_by_name(stencil_name), n, n, iters);
   const stencil::Grid2D expected = stencil::solve_serial(problem);
 
   struct RunCase {

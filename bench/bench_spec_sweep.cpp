@@ -136,10 +136,11 @@ int main(int argc, char** argv) {
       config.persistent = persistent;
       const stencil::DistResult r = stencil::run_distributed(problem, config);
 
+      // Below rank 3 the grid is the whole field and `planes` stays empty.
       bool exact = true;
       for (std::size_t z = 0; z < expected.size(); ++z) {
-        exact = exact &&
-                stencil::Grid2D::max_abs_diff(expected[z], r.planes[z]) == 0.0;
+        const stencil::Grid2D& got = r.planes.empty() ? r.grid : r.planes[z];
+        exact = exact && stencil::Grid2D::max_abs_diff(expected[z], got) == 0.0;
       }
       all_exact = all_exact && exact;
 

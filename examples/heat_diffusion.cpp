@@ -44,10 +44,11 @@ int main(int argc, char** argv) {
   const int per_round = static_cast<int>(options.get_int("iters-per-round", 400));
   const int steps = static_cast<int>(options.get_int("steps", 6));
 
+  // Problem{}'s stencil is star5 with the Laplace-Jacobi weights: each point
+  // becomes the average of its four neighbors.
   stencil::Problem problem;
   problem.rows = n;
   problem.cols = n;
-  problem.weights = stencil::Stencil5::laplace_jacobi();
   problem.boundary = [n](long i, long j) {
     if (j < 0) return 100.0;  // heater on the west edge
     if (j >= n) return 0.0;   // ice bath on the east edge

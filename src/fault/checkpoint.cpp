@@ -1,5 +1,7 @@
 #include "fault/checkpoint.hpp"
 
+#include <algorithm>
+
 namespace repro::fault {
 
 void CheckpointStore::store(int superstep, int ti, int tj,
@@ -56,6 +58,22 @@ CheckpointStore::Stats CheckpointStore::stats() const {
     }
   }
   return stats;
+}
+
+stencil::Grid2D assemble_checkpoint(const CheckpointStore& store,
+                                    int superstep, const stencil::TileMap& map,
+                                    const stencil::CellFn& boundary) {
+  stencil::Grid2D grid(map.rows(), map.cols());
+  grid.fill_ring(boundary);
+  for (const auto& [coord, core] : store.tiles(superstep)) {
+    const auto [ti, tj] = coord;
+    const int w = map.tile_w(tj);
+    for (int i = 0; i < map.tile_h(ti); ++i) {
+      std::copy_n(core.data() + static_cast<std::size_t>(i) * w, w,
+                  &grid.at(map.row0(ti) + i, map.col0(tj)));
+    }
+  }
+  return grid;
 }
 
 }  // namespace repro::fault

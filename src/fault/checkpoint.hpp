@@ -19,6 +19,9 @@
 #include <utility>
 #include <vector>
 
+#include "stencil/grid.hpp"
+#include "stencil/tile_map.hpp"
+
 namespace repro::fault {
 
 class CheckpointStore {
@@ -55,5 +58,12 @@ class CheckpointStore {
   std::map<int, TileMapSnapshot> snapshots_;
   std::uint64_t stored_ = 0;
 };
+
+/// The single-plane field checkpointed at `superstep`: each tile's core at
+/// its place in `map`, the ring from `boundary`. Every tile must be present
+/// (see last_complete_superstep).
+stencil::Grid2D assemble_checkpoint(const CheckpointStore& store,
+                                    int superstep, const stencil::TileMap& map,
+                                    const stencil::CellFn& boundary);
 
 }  // namespace repro::fault

@@ -49,8 +49,8 @@ struct ResilientResult {
 
 /// Run the CA stencil to completion despite channel failures. Throws the last
 /// window's error once `max_attempts` consecutive attempts fail, and
-/// std::invalid_argument for spec problems (a Grid2D snapshot cannot restart
-/// them).
+/// std::invalid_argument for rank-3 problems (windows restart through
+/// stencil::restart_from, and a Grid2D snapshot holds one plane).
 ResilientResult run_resilient(const stencil::Problem& problem,
                               const ResilientConfig& config);
 

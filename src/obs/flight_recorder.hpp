@@ -79,7 +79,10 @@ class FlightRecorder {
     std::atomic<double> idle_noready_s{0.0};
     std::atomic<double> idle_steal_s{0.0};
   };
-  struct Lane {
+  // One cache line per lane, so each lane's single writer owns its `count`
+  // line: unpadded, four writers cost 21-25 ns of CPU per record against
+  // 9-10 ns padded (BM_FlightRecorderRecord).
+  struct alignas(64) Lane {
     std::vector<Slot> slots;
     std::atomic<std::uint64_t> count{0};  ///< samples ever written
   };

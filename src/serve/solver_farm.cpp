@@ -41,17 +41,6 @@ stencil::DistConfig make_dist_config(const SolveRequest& req, int node_rows,
   return cfg;
 }
 
-std::shared_ptr<Grid2D> copy_grid(const Grid2D& src,
-                                  const stencil::Problem& problem) {
-  auto dst = std::make_shared<Grid2D>(src.rows(), src.cols());
-  dst->fill(
-      [&src](long i, long j) {
-        return src.at(static_cast<int>(i), static_cast<int>(j));
-      },
-      problem.boundary);
-  return dst;
-}
-
 }  // namespace
 
 /// One admitted solve, from submit to terminal state. The dispatcher thread
@@ -149,11 +138,11 @@ SolverFarm::~SolverFarm() {
 RejectReason SolverFarm::validate(const SolveRequest& request) const {
   const stencil::Problem& p = request.problem;
   // The farm's own policy: a job must do work, and a windowed job restarts
-  // each window from a Grid2D snapshot through Problem::initial, which spec
-  // problems do not read (they sample initial3, and rank-3 specs carry nz
-  // planes). So spec jobs must stay below the windowing threshold.
+  // each window through stencil::restart_from, whose Grid2D snapshot holds
+  // one plane. So rank-3 jobs must stay below the windowing threshold.
   if (p.iterations < 1) return RejectReason::BadRequest;
-  if (p.spec && request_cost(request) >= config_.preempt_cost_threshold) {
+  if (p.spec.rank == 3 &&
+      request_cost(request) >= config_.preempt_cost_threshold) {
     return RejectReason::BadRequest;
   }
   // Everything else is the builder's own check, run on the config this job
@@ -393,13 +382,6 @@ void SolverFarm::run_window(const JobPtr& job) {
   const int iters =
       std::min(config_.checkpoint_supersteps * steps, p.iterations - base);
 
-  stencil::Problem sub = p;
-  sub.iterations = iters;
-  const std::shared_ptr<Grid2D> snapshot = job->snapshot;
-  sub.initial = [snapshot](long i, long j) {
-    return snapshot->at(static_cast<int>(i), static_cast<int>(j));
-  };
-
   stencil::DistConfig cfg = make_dist_config(
       job->req, config_.node_rows, config_.node_cols, 0, job->lane,
       config_.persistent);
@@ -430,8 +412,8 @@ void SolverFarm::run_window(const JobPtr& job) {
   bool ok = true;
   const double start = wall_time();
   try {
-    const stencil::SolveSubgraph subgraph =
-        stencil::add_solve_subgraph(graph, sub, cfg);
+    const stencil::SolveSubgraph subgraph = stencil::add_solve_subgraph(
+        graph, stencil::restart_from(p, job->snapshot, iters), cfg);
     if (const int window = subgraph.fuse_window(); window > 1) {
       rt::fuse_supersteps(graph, window);
     }
@@ -454,7 +436,7 @@ void SolverFarm::run_window(const JobPtr& job) {
       fulfill(job, std::move(response));
       return;
     }
-    job->snapshot = copy_grid(result, p);
+    job->snapshot = std::make_shared<Grid2D>(std::move(result));
   } catch (const std::exception& e) {
     ok = false;
     error = e.what();
@@ -475,20 +457,8 @@ void SolverFarm::run_window(const JobPtr& job) {
       ++job->preemptions;
       const int resume = job->store.last_complete_superstep(total_tiles);
       if (resume > job->done) {
-        auto recovered = std::make_shared<Grid2D>(p.rows, p.cols);
-        recovered->fill([](long, long) { return 0.0; }, p.boundary);
-        for (const auto& [coord, core] : job->store.tiles(resume)) {
-          const auto [ti, tj] = coord;
-          const int h = map.tile_h(ti);
-          const int w = map.tile_w(tj);
-          for (int i = 0; i < h; ++i) {
-            for (int j = 0; j < w; ++j) {
-              recovered->at(map.row0(ti) + i, map.col0(tj) + j) =
-                  core[static_cast<std::size_t>(i) * w + j];
-            }
-          }
-        }
-        job->snapshot = std::move(recovered);
+        job->snapshot = std::make_shared<Grid2D>(
+            fault::assemble_checkpoint(job->store, resume, map, p.boundary));
         job->done = resume;
       }
       job->store.trim_below(job->done);
@@ -522,15 +492,9 @@ void SolverFarm::cancel(const JobPtr& job) {
   response.iterations_done = job->done;
   if (job->snapshot && job->done > 0) {
     // Hand back the checkpointed progress so a client (or a future farm)
-    // can resume from iteration `done`.
-    const Grid2D& snap = *job->snapshot;
-    Grid2D progress(snap.rows(), snap.cols());
-    progress.fill(
-        [&snap](long i, long j) {
-          return snap.at(static_cast<int>(i), static_cast<int>(j));
-        },
-        job->req.problem.boundary);
-    response.grid = std::move(progress);
+    // can resume from iteration `done`. No window runs any more, so nothing
+    // else reads the snapshot.
+    response.grid = std::move(*job->snapshot);
   }
   fulfill(job, std::move(response));
 }

@@ -22,8 +22,9 @@
 //
 // Large jobs (cost >= preempt_cost_threshold) always run alone in windows,
 // so preempting one can never destroy a co-scheduled small job's work. A
-// window restarts from a Grid2D snapshot, which a spec problem cannot take,
-// so a spec job at or above the threshold is rejected as BadRequest.
+// window restarts from a Grid2D snapshot (stencil::restart_from), which holds
+// one plane, so a rank-3 job at or above the threshold is rejected as
+// BadRequest.
 // Fused-wavefront jobs (SolveRequest::fuse_depth > 1) also always dispatch
 // alone — their wave's graph is rewritten wholesale by rt::fuse_supersteps
 // before running, which must never touch a co-batched tenant's subgraph.
@@ -79,7 +80,7 @@ struct FarmConfig {
   /// Max small jobs batched into one shared graph.
   int max_batch_jobs = 8;
   /// Jobs at or above this cost run alone, in preemptible checkpoint
-  /// windows, instead of joining batches (spec jobs must stay below it).
+  /// windows, instead of joining batches (rank-3 jobs must stay below it).
   long long preempt_cost_threshold = 1 << 22;
   /// Window length for large jobs, in CA supersteps (window iterations =
   /// checkpoint_supersteps * steps, clamped to the job's remainder).

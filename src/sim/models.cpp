@@ -239,6 +239,18 @@ StencilSimOutput simulate_stencil(const StencilSimParams& p, bool trace) {
                             k);
           }
         }
+        if (diag_taps && !fused) {
+          // Mirrors TileInfo::corner_local: diagonal-tap programs read each
+          // same-node diagonal's previous state on every step.
+          for (Corner c : kAllCorners) {
+            const int ni = ti + d_ti(c);
+            const int nj = tj + d_tj(c);
+            if (map.valid(ni, nj) &&
+                map.rank_of(ni, nj) == map.rank_of(ti, tj)) {
+              graph.add_edge(id(k - 1, ni, nj), me);
+            }
+          }
+        }
       }
     }
   }

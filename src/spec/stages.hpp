@@ -43,9 +43,9 @@ struct CompiledProgram {
   int radius = 1;   ///< reach on the decomposed axes: max(1, radius_xy())
   bool diagonal_taps = false;  ///< any tap with di != 0 && dj != 0
   std::vector<StageOutput> outputs;
-  /// Set when the program is the classic 2D 5-point stencil in jacobi5 tap
-  /// order (c, n, s, w, e) — the driver dispatches the optimized
-  /// cache-blocked jacobi5 kernels for it.
+  /// Set when the program is the 2D 5-point stencil in jacobi5 tap order
+  /// (c, n, s, w, e) — the kernels dispatch jacobi5/jacobi5_opt for it, and
+  /// coefficient problems and kernel_ratio < 1 require it.
   std::optional<std::array<double, 5>> star5;
 
   /// Flops per computed cell of one sweep, all z planes together (the

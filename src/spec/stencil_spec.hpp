@@ -12,8 +12,8 @@
 //   * point ORDER is semantic: kernels accumulate taps in listed order, so
 //     the order pins the floating-point rounding sequence. star5() lists
 //     center, north, south, west, east — exactly jacobi5's order — which is
-//     what makes the recognized 5-point path bit-identical to the classic
-//     solver.
+//     what makes the recognized 5-point program bit-identical to
+//     serial_sweep.
 //   * boundary semantics are Dirichlet (the repo-wide convention): every
 //     cell outside the interior box holds a fixed g(i, j, z).
 #pragma once

@@ -3,6 +3,8 @@
 #include <array>
 #include <stdexcept>
 
+#include "spec/stages.hpp"
+
 namespace repro::spmv {
 
 void CsrMatrix::multiply(std::span<const double> x,
@@ -89,10 +91,20 @@ CsrMatrix build_grid_matrix_variable(int rows, int cols,
 }
 
 CsrMatrix build_problem_matrix(const stencil::Problem& problem) {
-  return problem.coefficient
-             ? build_grid_matrix_variable(problem.rows, problem.cols,
-                                          problem.coefficient)
-             : build_grid_matrix(problem.rows, problem.cols, problem.weights);
+  const spec::CompiledProgram program =
+      spec::compile_spec(problem.spec, problem.nz);
+  if (!program.star5) {
+    throw std::invalid_argument(
+        "build_problem_matrix: only the 5-point program has a grid matrix (" +
+        problem.spec.name + ")");
+  }
+  if (problem.coefficient) {
+    return build_grid_matrix_variable(problem.rows, problem.cols,
+                                      problem.coefficient);
+  }
+  return build_grid_matrix_impl(
+      problem.rows, problem.cols,
+      [&w = *program.star5](int, int) { return w; });
 }
 
 }  // namespace repro::spmv

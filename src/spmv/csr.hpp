@@ -57,7 +57,9 @@ CsrMatrix build_grid_matrix(int rows, int cols,
 CsrMatrix build_grid_matrix_variable(int rows, int cols,
                                      const stencil::CoeffFn& coefficient);
 
-/// Dispatch on problem.coefficient.
+/// The problem's update matrix: the 5-point program's weights, or
+/// problem.coefficient when set. Throws std::invalid_argument for any other
+/// spec.
 CsrMatrix build_problem_matrix(const stencil::Problem& problem);
 
 }  // namespace repro::spmv

@@ -31,9 +31,10 @@ struct SpmvRunResult {
 };
 
 /// Run the PETSc-like solver on `nranks` single-threaded virtual MPI ranks.
-/// `metrics`, when given, receives the transport's net_* families plus
-/// spmv_iteration_messages_total / spmv_setup_messages_total /
-/// spmv_iteration_bytes_total.
+/// The problem's spec must be the 5-point program (build_problem_matrix
+/// throws std::invalid_argument otherwise). `metrics`, when given, receives
+/// the transport's net_* families plus spmv_iteration_messages_total /
+/// spmv_setup_messages_total / spmv_iteration_bytes_total.
 SpmvRunResult run_petsc_like(
     const stencil::Problem& problem, int nranks,
     std::shared_ptr<obs::MetricsRegistry> metrics = nullptr);

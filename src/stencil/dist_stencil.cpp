@@ -218,16 +218,17 @@ void copy_outside(const double* src, double* dst, const TileGeom& g, int r0,
 /// Immutable per-run context shared by all task bodies. The graph retains it
 /// (TaskGraph::retain); every body captures one plain pointer to it.
 ///
-/// Spec-driven problems run their compiled stage once per iteration with
-/// radius = the spec's reach on the decomposed axes and box = diagonal taps:
-/// ghost bands are radius * steps deep, the valid region shrinks by radius
-/// per inner step, and state buffers carry the program's nfield field planes
-/// (one on the classic path).
+/// Every problem runs its compiled stage once per iteration: ghost bands are
+/// radius * steps deep (radius = the spec's reach on the decomposed axes),
+/// the valid region shrinks by radius per inner step, diagonal taps read the
+/// diagonal neighbors every step, and state buffers carry the program's
+/// nfield field planes.
 struct Shared {
   /// Derives the run's geometry and rejects every config the builder cannot
   /// run. Constructing one IS validate_solve().
   Shared(const Problem& p, const DistConfig& config)
       : problem(p),
+        program(compile_problem_spec(p)),
         map(p.rows, p.cols, config.decomp.mb, config.decomp.nb,
             config.decomp.node_rows, config.decomp.node_cols),
         steps(config.steps),
@@ -257,16 +258,9 @@ struct Shared {
       throw std::invalid_argument(
           "fused wavefronts (fuse_depth > 1) require kernel_ratio == 1");
     }
-    if (problem.spec) {
-      if (config.kernel_ratio != 1.0) {
-        throw std::invalid_argument(
-            "spec-driven problems require kernel_ratio == 1");
-      }
-      program = std::make_shared<const spec::CompiledProgram>(
-          compile_problem_spec(problem));
-      nfield = program->nfield;
-      radius = program->radius;
-      box = program->diagonal_taps;
+    if (!program.star5 && config.kernel_ratio != 1.0) {
+      throw std::invalid_argument(
+          "kernel_ratio < 1 requires the 5-point program");
     }
     // Fused wavefronts widen the exchange window: `steps` becomes the full
     // window (fuse_depth supersteps) so every downstream mechanism — ghost
@@ -279,7 +273,7 @@ struct Shared {
     // int product can wrap to a window that passes.
     const long long window =
         static_cast<long long>(config.steps) * config.fuse_depth;
-    if (radius * window > map.min_tile_extent()) {
+    if (program.radius * window > map.min_tile_extent()) {
       throw std::invalid_argument(
           "radius * steps exceeds the smallest tile extent (" +
           std::to_string(map.min_tile_extent()) + ")");
@@ -292,10 +286,12 @@ struct Shared {
     for (int ti = 0; ti < map.tiles_r(); ++ti) {
       for (int tj = 0; tj < map.tiles_c(); ++tj) {
         const TileInfo& info = tiles.emplace_back(
-            make_tile_info(map, steps, radius, box, fuse_ready, ti, tj));
+            make_tile_info(map, steps, program.radius, program.diagonal_taps,
+                           fuse_ready, ti, tj));
         std::size_t& cap = capacity[static_cast<std::size_t>(info.rank)];
         cap = std::max(cap,
-                       static_cast<std::size_t>(nfield) * info.geom.size());
+                       static_cast<std::size_t>(program.nfield) *
+                           info.geom.size());
       }
     }
     pools.reserve(capacity.size());
@@ -305,15 +301,13 @@ struct Shared {
   }
 
   Problem problem;
+  /// The stage every STEP applies. Its nfield planes make up each state
+  /// buffer and halo payload; its radius sets the halo depth.
+  spec::CompiledProgram program;
   TileMap map;
   int steps;
   double ratio;
   int hook_period = 1;  ///< superstep-hook cadence in iterations
-  int radius = 1;    ///< stencil reach (1 for the paper's 5-point case)
-  bool box = false;  ///< diagonal taps (reads diagonals every step)
-  /// Spec path: compiled stage (null = classic 5-point/variable).
-  std::shared_ptr<const spec::CompiledProgram> program;
-  int nfield = 1;   ///< planes per state buffer and halo exchange
   /// One state-buffer pool per rank: a pool shared by all ranks cost
   /// latency_bound 13 % and ca_fused 20 % (DESIGN.md §6).
   std::vector<std::shared_ptr<StatePool>> pools;
@@ -349,12 +343,12 @@ std::size_t step_inputs(const TileInfo& info, bool start, bool variable) {
   return n;
 }
 
-/// Hand the tile's h x w core (row-major) to the superstep hook. Spec runs
-/// pass the nfield field planes (plane-major).
+/// Hand the tile's h x w core (row-major) of each of the nfield field planes
+/// (plane-major) to the superstep hook.
 void call_hook(const Shared& shared, const TileInfo& info, int k,
                const double* ext) {
   const TileGeom& g = info.geom;
-  const int planes = shared.nfield;
+  const int planes = shared.program.nfield;
   std::vector<double> core(static_cast<std::size_t>(planes) * g.h * g.w);
   for (int p = 0; p < planes; ++p) {
     const double* src = ext + static_cast<std::size_t>(p) * g.size();
@@ -421,8 +415,8 @@ int task_priority(bool boundary, const PackPlan& plan) {
 
 /// Publish state + any planned bands/corners from the freshly computed
 /// extended buffer. `nplanes` is the plane count exchanged remotely (the
-/// spec path's nfield; 1 on the classic paths, where the _planes variants
-/// reduce to the single-plane pack functions byte-for-byte).
+/// program's nfield; 1 below rank 3, where the _planes variants reduce to
+/// the single-plane pack functions byte-for-byte).
 void publish_all(rt::TaskContext& ctx, const TileInfo& info,
                  const PackPlan& plan, int depth,
                  std::shared_ptr<std::vector<double>> state, int nplanes) {
@@ -467,33 +461,15 @@ void run_init(Shared& shared, rt::TaskContext& ctx) {
   const long gr0 = map.row0(tile_info.ti);
   const long gc0 = map.col0(tile_info.tj);
 
-  const int nfield = shared.nfield;
+  const int nfield = shared.program.nfield;
   auto state = shared.pools[static_cast<std::size_t>(tile_info.rank)]->take(
       static_cast<std::size_t>(nfield) * g.size());
   double* ext = state->data();
-  if (shared.program) {
-    // Spec path: every field plane at every padded cell samples the same
-    // spec_sample the serial oracle uses.
-    for (int c = 0; c < nfield; ++c) {
-      double* dst = ext + static_cast<std::size_t>(c) * g.size();
-      for (int i = -g.gn; i < g.h + g.gs; ++i) {
-        for (int j = -g.gw; j < g.w + g.ge; ++j) {
-          dst[g.idx(i, j)] =
-              spec_sample(*shared.program, shared.problem, c, gr0 + i, gc0 + j);
-        }
-      }
-    }
-  } else {
-    for (int i = -g.gn; i < g.h + g.gs; ++i) {
-      for (int j = -g.gw; j < g.w + g.ge; ++j) {
-        const long gi = gr0 + i;
-        const long gj = gc0 + j;
-        const bool inside =
-            gi >= 0 && gi < map.rows() && gj >= 0 && gj < map.cols();
-        ext[g.idx(i, j)] = inside ? shared.problem.initial(gi, gj)
-                                  : shared.problem.boundary(gi, gj);
-      }
-    }
+  // Every field plane at every padded cell samples what the serial oracle
+  // samples.
+  for (int c = 0; c < nfield; ++c) {
+    sample_plane(shared.program, shared.problem, c, g, gr0, gc0,
+                 ext + static_cast<std::size_t>(c) * g.size());
   }
 
   // Variable-coefficient problems: materialize the coefficient planes over
@@ -514,7 +490,7 @@ void run_init(Shared& shared, rt::TaskContext& ctx) {
   }
   if (shared.hook) call_hook(shared, tile_info, 0, ext);
   publish_all(ctx, tile_info, pack_plan(shared, tile_info, 0),
-              shared.radius * shared.steps, std::move(state), nfield);
+              shared.program.radius * shared.steps, std::move(state), nfield);
 }
 
 /// STEP(k, ti, tj): one Jacobi iteration of the tile, inputs in the order
@@ -525,9 +501,9 @@ void run_step(Shared& shared, rt::TaskContext& ctx) {
   const TileGeom& g = tile_info.geom;
   const int steps = shared.steps;
   const bool start = shared.superstep_start(k);
-  const int radius = shared.radius;
+  const int radius = shared.program.radius;
   const int exchange_depth = radius * steps;
-  const int nfield = shared.nfield;
+  const int nfield = shared.program.nfield;
   const std::size_t plane = g.size();
 
   // 1. The kernel's input. A step that refreshes nothing — no superstep
@@ -604,13 +580,13 @@ void run_step(Shared& shared, rt::TaskContext& ctx) {
   // 5. The output comes from the rank's pool and receives only what the
   //    kernel leaves unwritten: the ring, stale ghost cells and, when
   //    ratio < 1, the core outside the region on written planes; frozen
-  //    spec z-boundary planes whole.
+  //    z-boundary planes whole.
   auto state = shared.pools[static_cast<std::size_t>(tile_info.rank)]->take(
       prev.size());
   double* out = state->data();
   // The stage writes the interior z planes [zlo, zlo + nz).
-  const int zlo = shared.program ? shared.program->zlo : 0;
-  const int nz = shared.program ? shared.program->nz : 1;
+  const int zlo = shared.program.zlo;
+  const int nz = shared.program.nz;
   for (int p = 0; p < nfield; ++p) {
     const std::size_t off = static_cast<std::size_t>(p) * plane;
     if (p >= zlo && p < zlo + nz) {
@@ -619,17 +595,12 @@ void run_step(Shared& shared, rt::TaskContext& ctx) {
       std::copy_n(in + off, plane, out + off);
     }
   }
-  if (shared.program) {
-    apply_program_stage(in, out, g, *shared.program, r0, r1, c0, c1,
-                        shared.kernel, shared.tuning);
-  } else if (shared.problem.coefficient) {
+  if (shared.problem.coefficient) {
     const auto coeff = ctx.input(ctx.num_inputs() - 1);
     jacobi5_var(in, out, g, coeff.data(), r0, r1, c0, c1);
   } else {
-    // Constant-coefficient path: dispatch the selected kernel variant
-    // (bit-identical to jacobi5 by construction, see kernel_opt.hpp).
-    jacobi5_opt(in, out, g, shared.problem.weights, r0, r1, c0, c1,
-                shared.kernel, shared.tuning);
+    apply_program_stage(in, out, g, shared.program, r0, r1, c0, c1,
+                        shared.kernel, shared.tuning);
   }
   shared.computed_points.fetch_add(static_cast<long long>(r1 - r0) * (c1 - c0),
                                    std::memory_order_relaxed);
@@ -705,18 +676,18 @@ class Builder {
   /// Doubles in one packed band instance published by a tile with geometry
   /// `g` on `side` (plane-major, nfield planes).
   std::uint32_t band_doubles(const TileGeom& g, Side side) const {
-    const int depth = shared_->radius * shared_->steps;
+    const int depth = shared_->program.radius * shared_->steps;
     const long lateral =
         (side == Side::North || side == Side::South) ? g.w : g.h;
     return static_cast<std::uint32_t>(static_cast<long>(depth) * lateral *
-                                      shared_->nfield);
+                                      shared_->program.nfield);
   }
 
   /// Doubles in one packed corner-block instance.
   std::uint32_t corner_doubles() const {
-    const int depth = shared_->radius * shared_->steps;
+    const int depth = shared_->program.radius * shared_->steps;
     return static_cast<std::uint32_t>(static_cast<long>(depth) * depth *
-                                      shared_->nfield);
+                                      shared_->program.nfield);
   }
 
   /// Annotate `flow` (a remote band/corner flow from producer tile
@@ -728,7 +699,7 @@ class Builder {
     if (!persistent_) return;
     flow.route = route_id(pti, ptj, flow.slot);
     flow.route_doubles = doubles;
-    flow.route_fragments = static_cast<std::uint16_t>(shared_->nfield);
+    flow.route_fragments = static_cast<std::uint16_t>(shared_->program.nfield);
   }
 
   rt::TaskSpec make_init_task(const TileInfo& info) {
@@ -862,23 +833,18 @@ Grid2D SolveSubgraph::gather_plane(const rt::Runtime& runtime, int z) const {
   const Shared& shared = *builder.shared();
   const TileMap& map = shared.map;
   const Problem& problem = shared.problem;
-  const int nz = shared.program ? shared.program->nz : 1;
-  if (z < 0 || z >= nz) {
+  const spec::CompiledProgram& program = shared.program;
+  if (z < 0 || z >= program.nz) {
     throw std::invalid_argument("gather_plane: z out of range");
   }
-  // Spec state buffers hold nfield planes; z's field plane is zlo + z.
-  const std::size_t plane_off =
-      shared.program ? static_cast<std::size_t>(shared.program->zlo + z) : 0;
+  // State buffers hold nfield planes; z's field plane is zlo + z.
+  const int plane = program.zlo + z;
+  const auto plane_off = static_cast<std::size_t>(plane);
 
   // The tiles cover the interior, so only the ring is sampled; each tile
   // row lands with one copy.
   Grid2D grid(problem.rows, problem.cols);
-  if (shared.program) {
-    grid.fill_ring(
-        [&problem, z](long i, long j) { return problem.boundary3(i, j, z); });
-  } else {
-    grid.fill_ring(problem.boundary);
-  }
+  grid.fill_ring(spec_sample(program, problem, plane).boundary);
   for (int ti = 0; ti < map.tiles_r(); ++ti) {
     for (int tj = 0; tj < map.tiles_c(); ++tj) {
       const rt::Buffer state = runtime.result(
@@ -896,8 +862,7 @@ Grid2D SolveSubgraph::gather_plane(const rt::Runtime& runtime, int z) const {
 
 std::vector<Grid2D> SolveSubgraph::gather_planes(
     const rt::Runtime& runtime) const {
-  const Shared& shared = *impl_->builder.shared();
-  const int nz = shared.program ? shared.program->nz : 1;
+  const int nz = impl_->builder.shared()->program.nz;
   std::vector<Grid2D> planes;
   planes.reserve(static_cast<std::size_t>(nz));
   for (int z = 0; z < nz; ++z) planes.push_back(gather_plane(runtime, z));
@@ -1094,11 +1059,9 @@ DistResult run_distributed(const Problem& problem, const DistConfig& config) {
 
   DistResult result{subgraph.gather(runtime), std::move(stats), {}, {},
                     0, 0, kFlopsPerPoint, {}};
-  if (problem.spec) {
-    result.planes = subgraph.gather_planes(runtime);
-    result.flops_per_point =
-        spec::compile_spec(*problem.spec, problem.nz).flops_per_point();
-  }
+  result.flops_per_point =
+      spec::compile_spec(problem.spec, problem.nz).flops_per_point();
+  if (problem.spec.rank == 3) result.planes = subgraph.gather_planes(runtime);
   result.trace_events = runtime.tracer().events();
   result.computed_points = subgraph.computed_points();
   result.nominal_points = subgraph.nominal_points();
@@ -1147,12 +1110,10 @@ DistResult run_distributed(const Problem& problem, const DistConfig& config) {
         {{"variant", kernel_variant_name(config.kernel)}},
         "Selected compute-kernel variant (value is always 1)");
     variant->set(1.0);
-    if (problem.spec) {
-      auto spec_info = registry.gauge(
-          "stencil_spec_info", {{"spec", problem.spec->name}},
-          "Stencil spec of this run (value is always 1)");
-      spec_info->set(1.0);
-    }
+    auto spec_info = registry.gauge(
+        "stencil_spec_info", {{"spec", problem.spec.name}},
+        "Stencil spec of this run (value is always 1)");
+    spec_info->set(1.0);
     if (result.stats.wall_time_s > 0.0) {
       auto rate = registry.gauge("stencil_points_per_second", {},
                                  "Computed points (redundancy included) "

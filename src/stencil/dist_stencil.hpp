@@ -35,8 +35,8 @@ namespace repro::stencil {
 
 /// Called as tile (ti,tj) reaches a globally consistent state: after INIT
 /// (k == 0) and after each iteration k with k % steps == 0. `core` is the
-/// tile's h x w interior, row-major (spec-driven runs pass the program's
-/// nfield field planes, plane-major — nfield * h * w values). Invoked
+/// tile's program's nfield field planes of its h x w interior, plane-major and
+/// row-major (nfield * h * w values; one plane below rank 3). Invoked
 /// concurrently from worker threads — the callee must be thread-safe. Used by
 /// the fault subsystem to checkpoint at CA superstep boundaries.
 using SuperstepHook =
@@ -72,8 +72,8 @@ struct DistConfig {
   rt::SchedPolicy scheduler = rt::SchedPolicy::PriorityFifo;
   /// Per-destination-node message aggregation (see rt::Config).
   bool aggregate_messages = false;
-  /// Compute-kernel variant for the constant-coefficient 5-point and spec
-  /// paths (coefficient problems always use their dedicated kernel). A
+  /// Compute-kernel variant for the compiled stage (coefficient problems
+  /// always use their dedicated kernel). A
   /// variant only changes the inner sweep — the task graph is unchanged and
   /// results stay bit-identical to the serial reference. Running several
   /// steps per task is fuse_depth's job, not the kernel's.
@@ -132,17 +132,17 @@ struct DistConfig {
 };
 
 struct DistResult {
-  Grid2D grid;                ///< gathered final field (spec runs: z plane 0)
+  Grid2D grid;                ///< gathered final field (rank 3: z plane 0)
   rt::RunStats stats;         ///< wall time + remote traffic
   std::vector<rt::TraceEvent> trace_events;
-  /// Spec-driven runs: all nz interior z planes (planes[0] == grid); empty
-  /// on the classic paths.
+  /// Rank-3 runs: all nz interior z planes (planes[0] == grid); empty below
+  /// rank 3, where `grid` is the whole field.
   std::vector<Grid2D> planes;
-  /// Stencil points updated (incl. redundant); spec runs count one update
-  /// per 2D cell, all z planes together, matching flops_per_point below.
+  /// Stencil points updated (incl. redundant); one update per 2D cell, all
+  /// z planes together, matching flops_per_point below.
   long long computed_points = 0;
   long long nominal_points = 0;   ///< rows*cols*iterations (no redundancy)
-  double flops_per_point = kFlopsPerPoint;  ///< 9 for 5-point; spec-derived
+  double flops_per_point = kFlopsPerPoint;  ///< the compiled program's
   /// Scrape point for the run's metric families (never null after
   /// run_distributed returns).
   std::shared_ptr<obs::MetricsRegistry> metrics{};
@@ -163,8 +163,9 @@ struct DistResult {
 
 /// Throws std::invalid_argument unless the builder can run `problem` under
 /// `config`: a sound tile/node grid, steps and fuse_depth >= 1, radius *
-/// steps * fuse_depth within the smallest tile extent, a legal kernel_ratio,
-/// a valid spec and an in-range key_space. add_solve_subgraph and
+/// steps * fuse_depth within the smallest tile extent, a legal kernel_ratio
+/// (< 1 only for the 5-point program), a valid spec with the field samplers
+/// its rank reads and an in-range key_space. add_solve_subgraph and
 /// run_distributed run exactly these checks; callers such as the solver farm
 /// use it to reject a request before building anything.
 void validate_solve(const Problem& problem, const DistConfig& config);
@@ -183,12 +184,12 @@ class SolveSubgraph {
   /// Virtual process count the subgraph was decomposed for; must equal the
   /// executing runtime's nranks.
   int nodes() const;
-  /// Gather the solve's final field (spec runs: z plane 0). Throws if the
-  /// graph has not run.
+  /// Gather the solve's final field (rank 3: z plane 0). Throws if the graph
+  /// has not run.
   Grid2D gather(const rt::Runtime& runtime) const;
-  /// Gather z plane `z` of a spec-driven solve (classic paths: z must be 0).
+  /// Gather interior z plane `z` (below rank 3, z must be 0).
   Grid2D gather_plane(const rt::Runtime& runtime, int z) const;
-  /// All nz interior z planes (classic paths: one plane, == gather()).
+  /// All nz interior z planes (below rank 3: one plane, == gather()).
   std::vector<Grid2D> gather_planes(const rt::Runtime& runtime) const;
   /// Stencil points updated (redundant recompute included); valid after run.
   long long computed_points() const;

@@ -96,11 +96,11 @@ void copy_local_corner(double* ext, const TileGeom& g, Corner corner,
 
 // ------------------------------------------------------- multi-plane variants
 //
-// Spec-driven tiles hold nfield planes of g.size() doubles each (plane p of
-// buffer `ext` starts at ext + p * g.size()). These variants apply the
+// Tiles hold their program's nfield planes of g.size() doubles each (plane p
+// of buffer `ext` starts at ext + p * g.size()). These variants apply the
 // single-plane operation to the first `nplanes` planes, packing/unpacking
 // payloads plane-major (plane 0's band first). The single-plane functions are
-// the nplanes == 1 case, so the classic 5-point paths are unchanged.
+// the nplanes == 1 case, which every rank <= 2 program runs.
 
 std::vector<double> pack_band_planes(const double* ext, const TileGeom& g,
                                      Side side, int depth, int nplanes);

@@ -1,6 +1,8 @@
 #include "stencil/problem.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
 namespace repro::stencil {
 
@@ -9,7 +11,7 @@ Problem laplace_problem(int n, int iterations) {
   p.rows = n;
   p.cols = n;
   p.iterations = iterations;
-  p.weights = Stencil5::laplace_jacobi();
+  // The spec stays Problem{}'s: star5 with the Laplace-Jacobi weights.
   p.initial = [](long, long) { return 0.0; };
   p.boundary = [n](long /*i*/, long j) {
     // Hot (1.0) west wall, cold east wall, linear ramp north/south.
@@ -26,7 +28,7 @@ Problem random_problem(int rows, int cols, int iterations,
   p.rows = rows;
   p.cols = cols;
   p.iterations = iterations;
-  p.weights = Stencil5::test_weights();
+  p.spec = spec::StencilSpec::star5();  // Stencil5::test_weights()
   // Hash-based field: reproducible, no shared RNG state, and every cell
   // differs from its neighbors. Kept in [0,1) to avoid growth under the
   // contraction weights.
@@ -62,12 +64,12 @@ Problem spec_problem(spec::StencilSpec stencil, int rows, int cols,
     h ^= h >> 31;
     return static_cast<double>(h >> 11) * 0x1.0p-53;
   };
-  p.initial3 = field;
-  p.boundary3 = field;
-  // 2D views of plane 0 so code that only understands CellFn (gather ring
-  // fill, report summaries) keeps working.
   p.initial = [field](long i, long j) { return field(i, j, 0); };
   p.boundary = [field](long i, long j) { return field(i, j, 0); };
+  if (p.spec.rank == 3) {
+    p.initial3 = field;
+    p.boundary3 = field;
+  }
   return p;
 }
 
@@ -92,6 +94,23 @@ Problem random_variable_problem(int rows, int cols, int iterations,
                                  0.02 + 0.19 * h(i, j, 5)};
   };
   return p;
+}
+
+Problem restart_from(const Problem& problem,
+                     std::shared_ptr<const Grid2D> snapshot, int iterations) {
+  if (problem.spec.rank == 3) {
+    throw std::invalid_argument(
+        "restart_from: a Grid2D snapshot cannot restart a rank-3 problem");
+  }
+  if (snapshot->rows() != problem.rows || snapshot->cols() != problem.cols) {
+    throw std::invalid_argument("restart_from: snapshot shape mismatch");
+  }
+  Problem next = problem;
+  next.iterations = iterations;
+  next.initial = [snapshot = std::move(snapshot)](long i, long j) {
+    return snapshot->at(static_cast<int>(i), static_cast<int>(j));
+  };
+  return next;
 }
 
 }  // namespace repro::stencil

@@ -3,8 +3,7 @@
 
 #include <array>
 #include <functional>
-
-#include <optional>
+#include <memory>
 
 #include "spec/stencil_spec.hpp"
 #include "stencil/grid.hpp"
@@ -16,30 +15,35 @@ namespace repro::stencil {
 /// coordinates — the paper's "variable-coefficient stencil".
 using CoeffFn = std::function<std::array<double, 5>(long, long)>;
 
-/// 3-coordinate field sampler for spec-driven problems: value at global
-/// (i, j, z). Rank <= 2 specs are always sampled with z == 0; rank-3 specs
-/// sample the boundary with z == -1 or z == nz for the Dirichlet z planes
+/// 3-coordinate field sampler for rank-3 problems: value at global (i, j, z).
+/// The boundary is sampled with z == -1 or z == nz for the Dirichlet z planes
 /// (the z analogue of the ring convention in CellFn).
 using CellFn3 = std::function<double(long, long, long)>;
+
+/// Problem{}'s stencil: star5 with the Laplace-Jacobi weights (c, n, s, w, e).
+inline constexpr std::array<double, 5> kLaplaceJacobi5 = {0.0, 0.25, 0.25,
+                                                          0.25, 0.25};
 
 struct Problem {
   int rows = 0;           ///< interior rows
   int cols = 0;           ///< interior cols
   int iterations = 0;     ///< number of Jacobi sweeps
-  Stencil5 weights;       ///< constant coefficients (used when !coefficient)
-  CellFn initial;         ///< interior initial condition u0(i,j)
-  CellFn boundary;        ///< Dirichlet ring values g(i,j)
-  /// When set, the stencil is variable-coefficient: `weights` is ignored and
-  /// every point uses coefficient(i, j).
+  /// The stencil. Every solve compiles it (spec/stages.hpp) and runs the one
+  /// compiled stage, with radius-deep halos; the 5-point program dispatches
+  /// the jacobi5 kernels.
+  spec::StencilSpec spec = spec::StencilSpec::star5(kLaplaceJacobi5);
+  /// When set, the 5-point program's weights are replaced point by point:
+  /// every point uses coefficient(i, j). Requires a star5 spec.
   CoeffFn coefficient;
-  /// When set, the solve runs the spec's compiled stage (spec/stages.hpp):
-  /// every spec — any rank, radius, or point subset — executes as one direct
-  /// sweep with radius-deep halos. Mutually exclusive with `coefficient`;
-  /// requires initial3/boundary3.
-  std::optional<spec::StencilSpec> spec;
   int nz = 1;             ///< interior z planes (rank-3 specs only)
-  CellFn3 initial3;       ///< spec path: interior initial condition u0(i,j,z)
-  CellFn3 boundary3;      ///< spec path: Dirichlet values g(i,j,z)
+  /// Interior initial condition u0(i,j) and Dirichlet ring values g(i,j) of
+  /// every rank <= 2 problem (rank-3 problems: z plane 0).
+  CellFn initial;
+  CellFn boundary;
+  /// Rank-3 problems only: initial condition u0(i,j,z) and Dirichlet values
+  /// g(i,j,z), the z boundary planes included.
+  CellFn3 initial3;
+  CellFn3 boundary3;
 };
 
 /// Variable-coefficient variant of random_problem: hash-based field AND
@@ -62,5 +66,14 @@ Problem random_problem(int rows, int cols, int iterations,
 /// meaningful for rank-3 specs (must be 1 otherwise).
 Problem spec_problem(spec::StencilSpec stencil, int rows, int cols,
                      int iterations, int nz = 1, unsigned long seed = 42);
+
+/// `problem` continued from `snapshot`, its field after some sweeps: the same
+/// stencil and boundary, `iterations` sweeps, and the snapshot's interior as
+/// the initial condition. The Jacobi update is memoryless given the field, so
+/// a chain of restarts equals one long run bit for bit. Throws
+/// std::invalid_argument for rank-3 problems (a Grid2D holds one plane) and
+/// for a snapshot of another shape.
+Problem restart_from(const Problem& problem,
+                     std::shared_ptr<const Grid2D> snapshot, int iterations);
 
 }  // namespace repro::stencil

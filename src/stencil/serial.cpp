@@ -1,6 +1,5 @@
 #include "stencil/serial.hpp"
 
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -53,47 +52,15 @@ void serial_sweep_var(const Grid2D& in, Grid2D& out, const CoeffFn& coeff) {
   }
 }
 
-Grid2D solve_serial_opt(const Problem& problem, KernelVariant variant,
-                        const KernelTuning& tuning) {
-  if (problem.coefficient) {
-    throw std::invalid_argument(
-        "solve_serial_opt supports only the plain constant-coefficient "
-        "5-point stencil");
-  }
-
-  // One ring-padded "tile" covering the whole grid.
-  const TileGeom g{problem.rows, problem.cols, 1, 1, 1, 1};
-  std::vector<double> current(g.size());
-  for (int i = -1; i < problem.rows + 1; ++i) {
-    for (int j = -1; j < problem.cols + 1; ++j) {
-      const bool inside = i >= 0 && i < problem.rows && j >= 0 &&
-                          j < problem.cols;
-      current[g.idx(i, j)] =
-          inside ? problem.initial(i, j) : problem.boundary(i, j);
-    }
-  }
-  std::vector<double> next = current;
-  for (int iter = 0; iter < problem.iterations; ++iter) {
-    jacobi5_opt(current.data(), next.data(), g, problem.weights, 0, g.h, 0,
-                g.w, variant, tuning);
-    std::swap(current, next);
-  }
-
-  Grid2D grid(problem.rows, problem.cols);
-  grid.fill([&](long i, long j) { return current[g.idx(static_cast<int>(i),
-                                                       static_cast<int>(j))]; },
-            problem.boundary);
-  return grid;
-}
-
 Grid2D solve_serial(const Problem& problem) {
-  // Spec-driven problems run the compiled stage (the bit-exact oracle for
-  // the spec-driven distributed path); z plane 0 is the field.
-  if (problem.spec) {
+  const spec::CompiledProgram prog = compile_problem_spec(problem);
+  if (!prog.star5) {
     std::vector<Grid2D> planes = solve_serial_spec(problem);
     return std::move(planes.front());
   }
 
+  const auto& w = *prog.star5;
+  const Stencil5 weights{w[0], w[1], w[2], w[3], w[4]};
   Grid2D current(problem.rows, problem.cols);
   Grid2D next(problem.rows, problem.cols);
   current.fill(problem.initial, problem.boundary);
@@ -103,7 +70,7 @@ Grid2D solve_serial(const Problem& problem) {
     if (problem.coefficient) {
       serial_sweep_var(current, next, problem.coefficient);
     } else {
-      serial_sweep(current, next, problem.weights);
+      serial_sweep(current, next, weights);
     }
     std::swap(current, next);
   }

@@ -4,22 +4,15 @@
 #pragma once
 
 #include "stencil/grid.hpp"
-#include "stencil/kernel_opt.hpp"
 #include "stencil/problem.hpp"
 
 namespace repro::stencil {
 
-/// Run `problem.iterations` Jacobi sweeps and return the final grid. Spec
-/// problems run the compiled stage (solve_serial_spec in spec_kernel.hpp)
-/// and return its z plane 0.
+/// Run `problem.iterations` Jacobi sweeps and return the final grid. The
+/// 5-point program (and its coefficient variant) runs the independent
+/// serial_sweep/serial_sweep_var loop below; every other spec runs
+/// solve_serial_spec (spec_kernel.hpp) and returns its z plane 0.
 Grid2D solve_serial(const Problem& problem);
-
-/// Serial solve through an optimized kernel variant (kernel_opt.hpp): one
-/// sweep of the whole interior per iteration, bit-identical to
-/// solve_serial. Only the plain constant-coefficient problem is supported;
-/// coefficient problems throw.
-Grid2D solve_serial_opt(const Problem& problem, KernelVariant variant,
-                        const KernelTuning& tuning = {});
 
 /// One sweep: out.interior = stencil(in), ring copied through.
 void serial_sweep(const Grid2D& in, Grid2D& out, const Stencil5& weights);

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 namespace repro::stencil {
 
@@ -13,29 +14,15 @@ IterativeSolveResult solve_to_tolerance(const Problem& problem,
   if (tolerance <= 0.0 || round_iterations < 1 || max_rounds < 1) {
     throw std::invalid_argument("solve_to_tolerance: bad arguments");
   }
-  if (problem.spec) {
-    // Warm-starting rounds rewires `initial`, but spec problems sample
-    // initial3 — restarting them from a 2D snapshot would silently drop the
-    // extra z planes. Explicitly unsupported until someone needs it.
-    throw std::invalid_argument(
-        "solve_to_tolerance does not support spec-driven problems");
-  }
-
   IterativeSolveResult result{Grid2D(problem.rows, problem.cols), 0, 0.0,
                               false, 0};
   result.grid.fill(problem.initial, problem.boundary);
 
-  Problem round = problem;
-  round.iterations = round_iterations;
-
   for (int r = 0; r < max_rounds; ++r) {
     // Warm start: this round's initial condition is the current field.
-    auto snapshot = std::make_shared<Grid2D>(std::move(result.grid));
-    round.initial = [snapshot](long i, long j) {
-      return snapshot->at(static_cast<int>(i), static_cast<int>(j));
-    };
-
-    DistResult step = run_distributed(round, config);
+    auto snapshot = std::make_shared<const Grid2D>(std::move(result.grid));
+    DistResult step = run_distributed(
+        restart_from(problem, snapshot, round_iterations), config);
     result.iterations += round_iterations;
     result.messages += step.stats.messages;
     result.last_delta = Grid2D::max_abs_diff(*snapshot, step.grid);

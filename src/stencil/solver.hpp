@@ -21,7 +21,9 @@ struct IterativeSolveResult {
 };
 
 /// `problem.iterations` is ignored; rounds of `round_iterations` sweeps run
-/// until max-change < tolerance. Throws on invalid arguments. The compute
+/// until max-change < tolerance. Each round restarts through restart_from, so
+/// rank-3 problems throw std::invalid_argument, as do invalid arguments. The
+/// compute
 /// kernel is selected by `config.kernel`, exactly as in a direct
 /// run_distributed() call.
 IterativeSolveResult solve_to_tolerance(const Problem& problem,

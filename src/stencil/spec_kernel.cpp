@@ -7,29 +7,52 @@
 namespace repro::stencil {
 
 spec::CompiledProgram compile_problem_spec(const Problem& problem) {
-  if (!problem.spec) {
-    throw std::invalid_argument("compile_problem_spec: problem has no spec");
-  }
-  if (problem.coefficient) {
-    throw std::invalid_argument(
-        "compile_problem_spec: spec is mutually exclusive with coefficient");
-  }
-  if (!problem.initial3 || !problem.boundary3) {
-    throw std::invalid_argument(
-        "compile_problem_spec: spec problems need initial3/boundary3");
-  }
   if (problem.nz < 1) {
     throw std::invalid_argument("compile_problem_spec: nz < 1");
   }
-  return spec::compile_spec(*problem.spec, problem.nz);
+  spec::CompiledProgram prog = spec::compile_spec(problem.spec, problem.nz);
+  if (problem.coefficient && !prog.star5) {
+    throw std::invalid_argument(
+        "compile_problem_spec: coefficient problems need the star5 spec");
+  }
+  const bool sampled = prog.rank == 3
+                           ? problem.initial3 && problem.boundary3
+                           : problem.initial && problem.boundary;
+  if (!sampled) {
+    throw std::invalid_argument(
+        "compile_problem_spec: initial/boundary (rank 3: initial3/boundary3) "
+        "unset");
+  }
+  return prog;
 }
 
-double spec_sample(const spec::CompiledProgram& prog, const Problem& problem,
-                   int plane, long gi, long gj) {
+PlaneSample spec_sample(const spec::CompiledProgram& prog,
+                        const Problem& problem, int plane) {
+  if (prog.rank < 3) return {problem.initial, problem.boundary};
   const long z = static_cast<long>(plane - prog.zlo);
-  const bool inside = gi >= 0 && gi < problem.rows && gj >= 0 &&
-                      gj < problem.cols && z >= 0 && z < prog.nz;
-  return inside ? problem.initial3(gi, gj, z) : problem.boundary3(gi, gj, z);
+  CellFn boundary = [&problem, z](long i, long j) {
+    return problem.boundary3(i, j, z);
+  };
+  if (z < 0 || z >= prog.nz) return {CellFn{}, std::move(boundary)};
+  return {[&problem, z](long i, long j) { return problem.initial3(i, j, z); },
+          std::move(boundary)};
+}
+
+void sample_plane(const spec::CompiledProgram& prog, const Problem& problem,
+                  int plane, const TileGeom& g, long gr0, long gc0,
+                  double* dst) {
+  const PlaneSample sample = spec_sample(prog, problem, plane);
+  const bool interior_plane = static_cast<bool>(sample.initial);
+  for (int i = -g.gn; i < g.h + g.gs; ++i) {
+    const long gi = gr0 + i;
+    const bool row_inside = interior_plane && gi >= 0 && gi < problem.rows;
+    for (int j = -g.gw; j < g.w + g.ge; ++j) {
+      const long gj = gc0 + j;
+      dst[g.idx(i, j)] = row_inside && gj >= 0 && gj < problem.cols
+                             ? sample.initial(gi, gj)
+                             : sample.boundary(gi, gj);
+    }
+  }
 }
 
 namespace {
@@ -75,16 +98,12 @@ void apply_program_stage(const double* in, double* out, const TileGeom& geom,
                          int c0, int c1, KernelVariant kernel,
                          const KernelTuning& tuning) {
   if (prog.star5) {
-    // Recognized classic 5-point program: single plane, tap order
-    // (c,n,s,w,e) — dispatch the classic kernels (bit-identical to the
-    // generic loop by the repo-wide per-point rounding rule).
+    // Recognized 5-point program: single plane, tap order (c,n,s,w,e) —
+    // dispatch the jacobi5 kernels (bit-identical to the generic loop by the
+    // repo-wide per-point rounding rule). The only special dispatch.
     const auto& s5 = *prog.star5;
-    const Stencil5 weights{s5[0], s5[1], s5[2], s5[3], s5[4]};
-    if (kernel == KernelVariant::Scalar) {
-      jacobi5(in, out, geom, weights, r0, r1, c0, c1);
-    } else {
-      jacobi5_opt(in, out, geom, weights, r0, r1, c0, c1, kernel, tuning);
-    }
+    jacobi5_opt(in, out, geom, Stencil5{s5[0], s5[1], s5[2], s5[3], s5[4]},
+                r0, r1, c0, c1, kernel, tuning);
     return;
   }
 
@@ -107,7 +126,13 @@ void apply_program_stage(const double* in, double* out, const TileGeom& geom,
   }
 }
 
-std::vector<Grid2D> solve_serial_spec(const Problem& problem) {
+std::vector<Grid2D> solve_serial_spec(const Problem& problem,
+                                      KernelVariant variant,
+                                      const KernelTuning& tuning) {
+  if (problem.coefficient) {
+    throw std::invalid_argument(
+        "solve_serial_spec: coefficient problems run through solve_serial");
+  }
   const spec::CompiledProgram prog = compile_problem_spec(problem);
   const int rows = problem.rows;
   const int cols = problem.cols;
@@ -124,17 +149,13 @@ std::vector<Grid2D> solve_serial_spec(const Problem& problem) {
   const std::size_t plane = g.size();
   std::vector<double> current(static_cast<std::size_t>(prog.nfield) * plane);
   for (int c = 0; c < prog.nfield; ++c) {
-    double* dst = current.data() + static_cast<std::size_t>(c) * plane;
-    for (int i = -r; i < rows + r; ++i) {
-      for (int j = -r; j < cols + r; ++j) {
-        dst[g.idx(i, j)] = spec_sample(prog, problem, c, i, j);
-      }
-    }
+    sample_plane(prog, problem, c, g, 0, 0,
+                 current.data() + static_cast<std::size_t>(c) * plane);
   }
   std::vector<double> next = current;
   for (int k = 0; k < problem.iterations; ++k) {
     apply_program_stage(current.data(), next.data(), g, prog, 0, rows, 0,
-                        cols);
+                        cols, variant, tuning);
     std::swap(current, next);
   }
 
@@ -148,7 +169,7 @@ std::vector<Grid2D> solve_serial_spec(const Problem& problem) {
         [&](long i, long j) {
           return src[g.idx(static_cast<int>(i), static_cast<int>(j))];
         },
-        [&](long i, long j) { return problem.boundary3(i, j, z); });
+        spec_sample(prog, problem, prog.zlo + z).boundary);
     result.push_back(std::move(grid));
   }
   return result;

@@ -79,12 +79,12 @@ TEST(EdgeCases, ManyWorkersFewTasks) {
 
 TEST(EdgeCases, ConstantFieldIsFixedPointOfAveraging) {
   // With averaging weights and constant boundary = interior, every iterate
-  // is the same constant — catches accidental scaling anywhere.
+  // is the same constant — catches accidental scaling anywhere. Problem{}'s
+  // stencil is star5 with the Laplace-Jacobi weights, which sum to 1.
   Problem problem;
   problem.rows = 12;
   problem.cols = 12;
   problem.iterations = 9;
-  problem.weights = Stencil5::laplace_jacobi();  // weights sum to 1
   problem.initial = [](long, long) { return 4.25; };
   problem.boundary = [](long, long) { return 4.25; };
   DistConfig config;

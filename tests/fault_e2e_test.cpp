@@ -355,24 +355,55 @@ TEST(FaultE2E, ResilientRunnerRecoversFusedRunsBitIdentically) {
   EXPECT_GT(result.checkpoints.stored, 0u);
 }
 
-TEST(FaultE2E, ResilientRunnerRejectsSpecProblems) {
-  // Every window restarts through Problem::initial, which a spec problem
-  // never reads (it samples initial3), so each window would silently start
-  // over from the original field. The runner refuses spec problems by name;
-  // a classic problem over the same windows stays exact.
+TEST(FaultE2E, ResilientRunnerRestartsEveryRank2Spec) {
+  // Every window restarts from the previous window's field through
+  // stencil::restart_from, for any rank <= 2 spec: wide (star9), diagonal
+  // (box9) and asymmetric (advect2d) programs chain windows exactly. A
+  // rank-3 problem is refused: a Grid2D snapshot holds one plane.
   ResilientConfig config;
   config.dist.decomp = {6, 6, 2, 2};
   config.checkpoint_supersteps = 2;  // 6 iterations = 3 windows
   for (const char* name : {"star5", "star9", "box9", "advect2d"}) {
     const Problem problem =
         stencil::spec_problem(spec::spec_by_name(name), 24, 24, 6);
-    EXPECT_THROW(run_resilient(problem, config), std::invalid_argument)
+    const ResilientResult result = run_resilient(problem, config);
+    EXPECT_EQ(result.windows, 3) << name;
+    EXPECT_TRUE(test_support::grids_match(solve_serial(problem), result.grid))
         << name;
   }
-  const Problem classic = stencil::random_problem(24, 24, 6);
-  const ResilientResult result = run_resilient(classic, config);
-  EXPECT_EQ(result.windows, 3);
-  EXPECT_EQ(Grid2D::max_abs_diff(solve_serial(classic), result.grid), 0.0);
+  const Problem heat3d =
+      stencil::spec_problem(spec::spec_by_name("heat3d"), 24, 24, 6, 2);
+  EXPECT_THROW(run_resilient(heat3d, config), std::invalid_argument);
+}
+
+TEST(FaultE2E, ResilientRunnerRollsBackWideSpecsBitIdentically) {
+  // A blackout on the first attempt rolls a star9 run back to its newest
+  // complete checkpoint; the replay from the assembled checkpoint field,
+  // with 2-deep Dirichlet ghosts, must reach the serial bits.
+  const Problem problem =
+      stencil::spec_problem(spec::StencilSpec::star9(), 48, 48, 12);
+  const Grid2D expected = solve_serial(problem);
+
+  int attempt = 0;
+  ResilientConfig config;
+  config.dist = small_config(3);
+  config.checkpoint_supersteps = 2;  // 6-iteration windows
+  config.channel_factory =
+      [&attempt](int nranks) -> std::shared_ptr<net::Channel> {
+    auto transport = std::make_shared<net::Transport>(nranks);
+    FaultPlan plan;
+    if (attempt++ == 0) plan.blackout_after = 40;
+    auto injector = std::make_shared<FaultInjector>(transport, plan);
+    ReliableConfig reliable;
+    reliable.timeout_s = 0.0005;
+    reliable.max_retries = 4;
+    return std::make_shared<ReliableChannel>(injector, reliable);
+  };
+
+  const ResilientResult result = run_resilient(problem, config);
+  EXPECT_TRUE(test_support::grids_match(expected, result.grid));
+  EXPECT_GE(result.rollbacks, 1);
+  EXPECT_EQ(result.attempts, result.windows + result.rollbacks);
 }
 
 TEST(FaultE2E, ResilientRunnerUnderSustainedRandomLoss) {

@@ -13,9 +13,11 @@
 #include <utility>
 #include <vector>
 
+#include "spec/stencil_spec.hpp"
 #include "stencil/dist_stencil.hpp"
 #include "stencil/kernel_opt.hpp"
 #include "stencil/serial.hpp"
+#include "stencil/spec_kernel.hpp"
 
 namespace repro::stencil {
 namespace {
@@ -119,22 +121,33 @@ TEST(KernelOptApi, Avx2ForcingIsRespected) {
   EXPECT_EQ(avx2_selected(on), avx2_available());
 }
 
-TEST(SolveSerialOpt, AllVariantsMatchSolveSerial) {
-  const Problem problem = random_problem(21, 17, 9);
-  const Grid2D expected = solve_serial(problem);
-  for (KernelVariant v : kAllKernelVariants) {
-    const Grid2D actual = solve_serial_opt(problem, v);
-    EXPECT_EQ(Grid2D::max_abs_diff(expected, actual), 0.0)
-        << kernel_variant_name(v);
+TEST(SolveSerialSpec, AllVariantsMatchSolveSerial) {
+  // One padded-buffer loop serves every spec and every kernel variant; each
+  // result equals solve_serial (for the 5-point program, its independent
+  // serial_sweep loop) bit for bit. Odd extents leave ragged row tails.
+  std::vector<Problem> problems = {random_problem(21, 17, 9),
+                                   laplace_problem(19, 7)};
+  for (const std::string& name : spec::spec_names()) {
+    const spec::StencilSpec sp = spec::spec_by_name(name);
+    if (sp.rank < 3) problems.push_back(spec_problem(sp, 21, 17, 9, 1, 5));
+  }
+  for (const Problem& problem : problems) {
+    const Grid2D expected = solve_serial(problem);
+    for (KernelVariant v : kAllKernelVariants) {
+      const std::vector<Grid2D> actual = solve_serial_spec(problem, v);
+      ASSERT_EQ(actual.size(), 1u);
+      EXPECT_EQ(Grid2D::max_abs_diff(expected, actual[0]), 0.0)
+          << problem.spec.name << " " << kernel_variant_name(v);
+    }
   }
 }
 
-TEST(SolveSerialOpt, RejectsCoefficientProblems) {
+TEST(SolveSerialSpec, RejectsCoefficientProblems) {
   Problem coeff_problem = random_problem(8, 8, 2);
   coeff_problem.coefficient = [](long, long) {
     return std::array<double, kCoeffPlanes>{0.2, 0.2, 0.2, 0.2, 0.2};
   };
-  EXPECT_THROW(solve_serial_opt(coeff_problem, KernelVariant::Vector),
+  EXPECT_THROW(solve_serial_spec(coeff_problem, KernelVariant::Vector),
                std::invalid_argument);
 }
 

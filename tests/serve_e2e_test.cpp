@@ -328,31 +328,43 @@ TEST(SolverFarm, SpecRequestsAreCheckedByTheBuildersRules) {
             0.0);
 }
 
-TEST(SolverFarm, WindowedSpecJobsAreBadRequests) {
-  // A window restarts from a Grid2D snapshot through Problem::initial,
-  // which a spec problem never reads, so a windowed spec job would complete
-  // from the wrong field. At or above the windowing threshold the farm
-  // rejects spec jobs; the same job below it batches and stays exact.
+TEST(SolverFarm, WindowedSpecJobsRestartExactly) {
+  // At or above the windowing threshold a job runs alone in checkpoint
+  // windows, each restarting from the previous window's field through
+  // stencil::restart_from. Every rank <= 2 spec chains its windows exactly;
+  // a rank-3 job is a bad request there (a Grid2D snapshot holds one plane)
+  // and still batches below the threshold.
   FarmConfig config = small_farm_config();
   config.preempt_cost_threshold = 10;  // 24*24*4 >> 10: windowed
+  config.checkpoint_supersteps = 1;    // steps 1: one iteration per window
   SolverFarm windowed(config);
-  EXPECT_EQ(windowed.submit(star9_request(/*steps=*/1)).rejected,
-            RejectReason::BadRequest);
-  // A classic job of the same shape still runs in windows.
-  auto classic =
-      windowed.submit(make_request("classic", 24, 24, 4, 6, 6, 1, 5));
-  ASSERT_TRUE(classic.accepted());
-  EXPECT_EQ(classic.response.get().status, JobStatus::Completed);
+  for (const char* name : {"star5", "star9", "box9", "advect2d"}) {
+    SolveRequest request = star9_request(/*steps=*/1);
+    request.problem =
+        stencil::spec_problem(spec::spec_by_name(name), 24, 24, /*iters=*/4);
+    auto submission = windowed.submit(request);
+    ASSERT_TRUE(submission.accepted()) << name;
+    const SolveResponse response = submission.response.get();
+    ASSERT_EQ(response.status, JobStatus::Completed) << name << response.error;
+    EXPECT_EQ(response.windows, 4) << name;
+    EXPECT_EQ(Grid2D::max_abs_diff(response.grid,
+                                   stencil::solve_serial(request.problem)),
+              0.0)
+        << name;
+  }
 
+  SolveRequest heat3d = star9_request(/*steps=*/1);
+  heat3d.problem = stencil::spec_problem(spec::StencilSpec::heat3d(), 24, 24,
+                                         /*iters=*/4, /*nz=*/2);
+  EXPECT_EQ(windowed.submit(heat3d).rejected, RejectReason::BadRequest);
   SolverFarm batched(small_farm_config());
-  const SolveRequest request = star9_request(/*steps=*/1);
-  auto submission = batched.submit(request);
+  auto submission = batched.submit(heat3d);
   ASSERT_TRUE(submission.accepted());
   const SolveResponse response = submission.response.get();
   ASSERT_EQ(response.status, JobStatus::Completed) << response.error;
   EXPECT_EQ(response.windows, 0);
   EXPECT_EQ(Grid2D::max_abs_diff(response.grid,
-                                 stencil::solve_serial(request.problem)),
+                                 stencil::solve_serial(heat3d.problem)),
             0.0);
 }
 

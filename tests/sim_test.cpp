@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/des.hpp"
 #include "sim/machine.hpp"
 #include "sim/models.hpp"
+#include "spec/stencil_spec.hpp"
+#include "stencil/tile_map.hpp"
 #include "support/units.hpp"
 
 namespace repro::sim {
@@ -232,6 +236,53 @@ TEST(Models, AggregationHelpsSmallStepCa) {
   EXPECT_GE(merged.gflops, plain.gflops);
   EXPECT_NEAR(merged.sim.message_bytes, plain.sim.message_bytes,
               0.01 * plain.sim.message_bytes);
+}
+
+TEST(Models, DiagonalTapsWaitForSameNodeDiagonals) {
+  // Every classic STEP of a box spec reads each same-node diagonal's
+  // previous state (TileInfo::corner_local), so in the trace no such step
+  // may begin before that diagonal's previous step has ended. Task ids are
+  // simulate_stencil's layout: (k * tiles + ti) * tiles + tj.
+  constexpr int kN = 2304, kTile = 288, kIters = 20;
+  constexpr int kTiles = kN / kTile;
+  const stencil::TileMap map(kN, kN, kTile, kTile, 2, 2);
+  const auto id = [](int k, int ti, int tj) {
+    return static_cast<std::size_t>((k * kTiles + ti) * kTiles + tj);
+  };
+  for (int steps : {1, 2}) {
+    StencilSimParams p{nacl(), kN, kTile, 2, 2, kIters, steps, 0.4};
+    p.stencil = spec::StencilSpec::box9();
+    const StencilSimOutput out = simulate_stencil(p, /*trace=*/true);
+    std::vector<double> begin(out.sim.trace.size());
+    std::vector<double> end(out.sim.trace.size());
+    for (const SimInterval& iv : out.sim.trace) {
+      begin[iv.task] = iv.begin_s;
+      end[iv.task] = iv.end_s;
+    }
+    int reads = 0;
+    int early = 0;
+    for (int k = 1; k <= kIters; ++k) {
+      for (int ti = 0; ti < kTiles; ++ti) {
+        for (int tj = 0; tj < kTiles; ++tj) {
+          for (int di : {-1, 1}) {
+            for (int dj : {-1, 1}) {
+              if (!map.valid(ti + di, tj + dj) ||
+                  map.neighbor_remote(ti, tj, di, dj)) {
+                continue;
+              }
+              ++reads;
+              if (begin[id(k, ti, tj)] < end[id(k - 1, ti + di, tj + dj)]) {
+                ++early;
+              }
+            }
+          }
+        }
+      }
+    }
+    // 36 directed diagonal pairs in each node's 4 x 4 tiles, 4 nodes.
+    EXPECT_EQ(reads, 4 * 36 * kIters) << "steps=" << steps;
+    EXPECT_EQ(early, 0) << "steps=" << steps;
+  }
 }
 
 TEST(Machine, PresetsMatchPaperAnchors) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "spec/stencil_spec.hpp"
 #include "stencil/serial.hpp"
 #include "stencil/solver.hpp"
 
@@ -16,19 +17,22 @@ DistConfig small_config(int steps = 2) {
 
 TEST(Solver, WarmStartedRoundsEqualOneLongRun) {
   // k rounds of m sweeps must equal one run of k*m sweeps bit for bit —
-  // warm starting is exact continuation.
-  Problem problem = laplace_problem(32, 0);
+  // warm starting is exact continuation, for the 5-point Laplace problem
+  // and for a wide (radius-2) and a diagonal-tap spec.
   const DistConfig config = small_config();
-
-  problem.iterations = 60;
-  const Grid2D reference = solve_serial(problem);
-
-  const IterativeSolveResult result =
-      solve_to_tolerance(problem, config, /*tolerance=*/1e-300,
-                         /*round_iterations=*/20, /*max_rounds=*/3);
-  EXPECT_EQ(result.iterations, 60);
-  EXPECT_FALSE(result.converged);  // impossible tolerance
-  EXPECT_EQ(Grid2D::max_abs_diff(reference, result.grid), 0.0);
+  for (Problem problem : {laplace_problem(32, 60),
+                          spec_problem(spec::StencilSpec::star9(), 32, 32, 60),
+                          spec_problem(spec::StencilSpec::box9(), 32, 32,
+                                       60)}) {
+    const Grid2D reference = solve_serial(problem);
+    const IterativeSolveResult result =
+        solve_to_tolerance(problem, config, /*tolerance=*/1e-300,
+                           /*round_iterations=*/20, /*max_rounds=*/3);
+    EXPECT_EQ(result.iterations, 60) << problem.spec.name;
+    EXPECT_FALSE(result.converged) << problem.spec.name;  // impossible
+    EXPECT_EQ(Grid2D::max_abs_diff(reference, result.grid), 0.0)
+        << problem.spec.name;
+  }
 }
 
 TEST(Solver, ConvergesOnLaplaceAndStopsEarly) {

@@ -3,9 +3,8 @@
 // solve_serial_spec bit-for-bit on every z plane, under both schedulers and
 // the optimized kernels, in base (steps=1) and CA (steps>1) mode. Radius-r
 // cross and box point sets pin the wide-stencil CA geometry: r*s-deep ghosts,
-// an r-per-step shrink and diagonal flows. The star5 spec must additionally
-// reproduce the LEGACY hard-wired solver exactly — same field bytes, same
-// message and byte counts.
+// an r-per-step shrink and diagonal flows. The star5 program must
+// additionally match the independent serial_sweep oracle with pinned traffic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -74,7 +73,7 @@ spec::StencilSpec cross_or_box(int r, bool box) {
   const auto match = test_support::planes_match(solve_serial_spec(problem), d);
   if (!match) {
     return ::testing::AssertionFailure()
-           << match.message() << " spec " << problem.spec->to_literal() << " "
+           << match.message() << " spec " << problem.spec.to_literal() << " "
            << test_support::describe(config);
   }
   return match;
@@ -168,23 +167,30 @@ TEST(SpecDist, RandomSpecsBitExact) {
   }
 }
 
-TEST(SpecDist, Star5SpecMatchesLegacyDistExactly) {
-  // The spec path with the star5 spec must be indistinguishable from the
-  // hard-wired 5-point solver: identical field AND identical traffic.
-  const Problem ps = spec_problem(spec::StencilSpec::star5(), 24, 22, 6, 1,
-                                  11);
-  Problem pl = ps;
-  pl.spec.reset();
-  pl.weights = Stencil5::test_weights();
-  for (int steps : {1, 2}) {
-    const DistConfig config =
-        small_config(steps, rt::SchedPolicy::PriorityFifo);
-    const DistResult a = run_distributed(ps, config);
-    const DistResult b = run_distributed(pl, config);
-    EXPECT_EQ(Grid2D::max_abs_diff(a.grid, b.grid), 0.0) << "steps=" << steps;
-    EXPECT_EQ(a.stats.messages, b.stats.messages) << "steps=" << steps;
-    EXPECT_EQ(a.stats.bytes, b.stats.bytes) << "steps=" << steps;
-    EXPECT_EQ(a.computed_points, b.computed_points) << "steps=" << steps;
+TEST(SpecDist, Star5ProgramMatchesSerialSweepWithPinnedTraffic) {
+  // The star5 program's distributed run against the serial_sweep oracle,
+  // which shares no code with it, and its traffic and work against counts
+  // read when the 5-point stencil still had a hard-wired path of its own.
+  const Problem problem =
+      spec_problem(spec::StencilSpec::star5(), 24, 22, 6, 1, 11);
+  const Grid2D expected =
+      test_support::serial_sweep_oracle(problem, Stencil5::test_weights());
+  struct Pinned {
+    int steps;
+    std::uint64_t messages, bytes;
+    long long points;
+  };
+  for (const Pinned& pin : {Pinned{1, 60, 7776, 3168},
+                            Pinned{2, 54, 8208, 3456}}) {
+    const DistResult r = run_distributed(
+        problem, small_config(pin.steps, rt::SchedPolicy::PriorityFifo));
+    EXPECT_TRUE(test_support::grids_match(expected, r.grid))
+        << "steps=" << pin.steps;
+    EXPECT_TRUE(r.planes.empty()) << "steps=" << pin.steps;
+    EXPECT_EQ(r.stats.tasks_executed, 42u) << "steps=" << pin.steps;
+    EXPECT_EQ(r.stats.messages, pin.messages) << "steps=" << pin.steps;
+    EXPECT_EQ(r.stats.bytes, pin.bytes) << "steps=" << pin.steps;
+    EXPECT_EQ(r.computed_points, pin.points) << "steps=" << pin.steps;
   }
 }
 

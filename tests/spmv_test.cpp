@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "spec/stencil_spec.hpp"
 #include "spmv/csr.hpp"
 #include "spmv/partition.hpp"
 #include "spmv/petsc_like.hpp"
@@ -27,9 +28,10 @@ TEST(Csr, MultiplyMatchesSerialSweepBitForBit) {
   stencil::Grid2D grid(p.rows, p.cols);
   grid.fill(p.initial, p.boundary);
   stencil::Grid2D expected(p.rows, p.cols);
-  serial_sweep(grid, expected, p.weights);
+  const stencil::Stencil5 w = stencil::Stencil5::test_weights();
+  serial_sweep(grid, expected, w);
 
-  const CsrMatrix m = build_grid_matrix(p.rows, p.cols, p.weights);
+  const CsrMatrix m = build_grid_matrix(p.rows, p.cols, w);
   std::vector<double> x(static_cast<std::size_t>(m.nrows));
   std::vector<double> y(static_cast<std::size_t>(m.nrows));
   for (int i = -1; i <= p.rows; ++i) {
@@ -125,6 +127,22 @@ TEST(PetscLike, MatchesDistributedStencilExactly) {
   dist_config.steps = 4;
   const stencil::DistResult dist = run_distributed(p, dist_config);
   EXPECT_EQ(stencil::Grid2D::max_abs_diff(spmv.grid, dist.grid), 0.0);
+}
+
+TEST(PetscLike, RunsTheProblemsOwnFivePointProgram) {
+  // The CSR rows carry the spec's star5 weights (here the test weights, not
+  // Problem{}'s Laplace default), so the SpMV run equals the serial solve.
+  const stencil::Problem star5 =
+      stencil::spec_problem(spec::StencilSpec::star5(), 24, 24, 4);
+  EXPECT_EQ(stencil::Grid2D::max_abs_diff(run_petsc_like(star5, 4).grid,
+                                          solve_serial(star5)),
+            0.0);
+  // Any other program has no 5-point matrix: refused, never run as Laplace.
+  for (const char* name : {"star9", "box9", "advect2d"}) {
+    const stencil::Problem other =
+        stencil::spec_problem(spec::spec_by_name(name), 24, 24, 4);
+    EXPECT_THROW(run_petsc_like(other, 4), std::invalid_argument) << name;
+  }
 }
 
 TEST(PetscLike, MessageCountMatchesRowPartitionNeighbors) {

@@ -56,7 +56,7 @@ TEST(VariableKernel, UsesPerPointCoefficients) {
 TEST(VariableSerial, ConstantCoefficientFnMatchesConstantSweep) {
   const Problem base = random_problem(11, 13, 3);
   Problem variable = base;
-  const Stencil5 w = base.weights;
+  const Stencil5 w = Stencil5::test_weights();  // random_problem's weights
   variable.coefficient = [w](long, long) {
     return std::array<double, 5>{w.center, w.north, w.south, w.west, w.east};
   };
