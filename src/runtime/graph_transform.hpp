@@ -52,7 +52,7 @@ struct FuseReport {
 /// Members of each nonzero chain are ordered by chain_step and grouped into
 /// ordinal windows of k; each window becomes one task that keeps the LAST
 /// member's key, rank, lane and chain metadata (so downstream key-based
-/// lookups — result(), gather — keep working) and whose klass is
+/// lookups such as result() keep working) and whose klass is
 /// "fused<m>|<last member's klass>". Edges are rewired:
 ///   * member -> member inside a window becomes in-task staging: the fused
 ///     body runs members in chain order under shim TaskContexts that resolve

@@ -327,6 +327,25 @@ struct Shared {
   /// boundaries — the precondition for rt::fuse_supersteps.
   bool fuse_ready = false;
   std::atomic<long long> computed_points{0};
+
+  /// The solve's result, one grid per interior z plane: the task producing
+  /// each tile's final state writes its core rows here (write_back) instead
+  /// of publishing that state, and gather() fills the ring and hands the
+  /// grids over. Allocated untouched by reset_field(), so the rank workers
+  /// first-touch its pages while other tiles still sweep.
+  std::vector<Grid2D> field;
+  /// Tiles written into `field` since it was last reset.
+  std::atomic<int> tiles_written{0};
+
+  /// A fresh untouched field of `planes` planes (0: none).
+  void reset_field(int planes) {
+    field.clear();
+    field.reserve(static_cast<std::size_t>(planes));
+    for (int z = 0; z < planes; ++z) {
+      field.push_back(Grid2D::uninitialized(problem.rows, problem.cols));
+    }
+    tiles_written.store(0, std::memory_order_relaxed);
+  }
 };
 
 /// Exact input count of a tile's step task (the inputs make_step_task
@@ -360,6 +379,23 @@ void call_hook(const Shared& shared, const TileInfo& info, int k,
     }
   }
   shared.hook(k, info.ti, info.tj, core);
+}
+
+/// The final task's output: copy the tile's core rows of the interior z
+/// planes [zlo, zlo + nz) into the solve's field. Tiles write disjoint cells.
+void write_back(Shared& shared, const TileInfo& info, const double* ext) {
+  const TileGeom& g = info.geom;
+  const int row0 = shared.map.row0(info.ti);
+  const int col0 = shared.map.col0(info.tj);
+  for (int z = 0; z < shared.program.nz; ++z) {
+    const double* src =
+        ext + static_cast<std::size_t>(shared.program.zlo + z) * g.size();
+    Grid2D& dst = shared.field[static_cast<std::size_t>(z)];
+    for (int i = 0; i < g.h; ++i) {
+      std::copy_n(src + g.idx(i, 0), g.w, &dst.at(row0 + i, col0));
+    }
+  }
+  shared.tiles_written.fetch_add(1, std::memory_order_relaxed);
 }
 
 /// What a task publishes besides its state. pack_plan decides it from the
@@ -489,6 +525,10 @@ void run_init(Shared& shared, rt::TaskContext& ctx) {
     ctx.publish(kSlotCoeff, std::move(coeff));
   }
   if (shared.hook) call_hook(shared, tile_info, 0, ext);
+  if (shared.problem.iterations == 0) {
+    write_back(shared, tile_info, ext);
+    return;
+  }
   publish_all(ctx, tile_info, pack_plan(shared, tile_info, 0),
               shared.program.radius * shared.steps, std::move(state), nfield);
 }
@@ -612,6 +652,12 @@ void run_step(Shared& shared, rt::TaskContext& ctx) {
   // shrink uniformly past the core only at window end).
   if (shared.hook && k % shared.hook_period == 0) {
     call_hook(shared, tile_info, k, out);
+  }
+  // The final state goes straight into the field; its buffer returns to the
+  // pool when `state` drops.
+  if (k == shared.problem.iterations) {
+    write_back(shared, tile_info, out);
+    return;
   }
   publish_all(ctx, tile_info, pack_plan(shared, tile_info, k), exchange_depth,
               std::move(state), nfield);
@@ -812,7 +858,7 @@ class Builder {
 // ----------------------------------------------------------- subgraph API --
 
 /// Everything gather() needs, captured at build time. Holds the Builder
-/// itself (its Shared context carries the live computed_points counter the
+/// itself (its Shared context carries the field and the live counters the
 /// task bodies update).
 struct SolveSubgraph::Impl {
   Impl(const Problem& problem, const DistConfig& config)
@@ -824,48 +870,31 @@ struct SolveSubgraph::Impl {
 
 int SolveSubgraph::nodes() const { return impl_->builder.map().nodes(); }
 
-Grid2D SolveSubgraph::gather(const rt::Runtime& runtime) const {
-  return gather_plane(runtime, 0);
-}
-
-Grid2D SolveSubgraph::gather_plane(const rt::Runtime& runtime, int z) const {
-  const Builder& builder = impl_->builder;
-  const Shared& shared = *builder.shared();
-  const TileMap& map = shared.map;
-  const Problem& problem = shared.problem;
-  const spec::CompiledProgram& program = shared.program;
-  if (z < 0 || z >= program.nz) {
-    throw std::invalid_argument("gather_plane: z out of range");
-  }
-  // State buffers hold nfield planes; z's field plane is zlo + z.
-  const int plane = program.zlo + z;
-  const auto plane_off = static_cast<std::size_t>(plane);
-
-  // The tiles cover the interior, so only the ring is sampled; each tile
-  // row lands with one copy.
-  Grid2D grid(problem.rows, problem.cols);
-  grid.fill_ring(spec_sample(program, problem, plane).boundary);
-  for (int ti = 0; ti < map.tiles_r(); ++ti) {
-    for (int tj = 0; tj < map.tiles_c(); ++tj) {
-      const rt::Buffer state = runtime.result(
-          builder.state_key(problem.iterations, ti, tj), 0);
-      const TileGeom& g = builder.tile(ti, tj).geom;
-      const double* src = state->data() + plane_off * g.size();
-      for (int i = 0; i < g.h; ++i) {
-        std::copy_n(src + g.idx(i, 0), g.w,
-                    &grid.at(map.row0(ti) + i, map.col0(tj)));
-      }
-    }
-  }
-  return grid;
+Grid2D SolveSubgraph::gather(const rt::Runtime& /*runtime*/) const {
+  return std::move(take_field(true).front());
 }
 
 std::vector<Grid2D> SolveSubgraph::gather_planes(
-    const rt::Runtime& runtime) const {
-  const int nz = impl_->builder.shared()->program.nz;
-  std::vector<Grid2D> planes;
-  planes.reserve(static_cast<std::size_t>(nz));
-  for (int z = 0; z < nz; ++z) planes.push_back(gather_plane(runtime, z));
+    const rt::Runtime& /*runtime*/) const {
+  return take_field(true);
+}
+
+std::vector<Grid2D> SolveSubgraph::take_field(bool rearm) const {
+  Shared& shared = *impl_->builder.shared();
+  const TileMap& map = shared.map;
+  if (shared.tiles_written.load(std::memory_order_relaxed) <
+      map.tiles_r() * map.tiles_c()) {
+    throw std::logic_error(
+        "SolveSubgraph::gather: no completed run since the last gather");
+  }
+  // The tiles wrote every interior cell; only the ring is sampled.
+  std::vector<Grid2D> planes = std::move(shared.field);
+  for (int z = 0; z < shared.program.nz; ++z) {
+    planes[static_cast<std::size_t>(z)].fill_ring(
+        spec_sample(shared.program, shared.problem, shared.program.zlo + z)
+            .boundary);
+  }
+  shared.reset_field(rearm ? shared.program.nz : 0);
   return planes;
 }
 
@@ -910,6 +939,11 @@ SolveSubgraph add_solve_subgraph(rt::TaskGraph& graph, const Problem& problem,
   SolveSubgraph subgraph;
   subgraph.impl_ = std::make_shared<SolveSubgraph::Impl>(problem, config);
   subgraph.impl_->builder.build(graph);
+  // After the tasks: a field allocated first pushed the graph's many small
+  // allocations onto fresh heap pages, about 1,900 page faults per build at
+  // N = 768.
+  subgraph.impl_->builder.shared()->reset_field(
+      subgraph.impl_->builder.shared()->program.nz);
   return subgraph;
 }
 
@@ -1057,11 +1091,15 @@ DistResult run_distributed(const Problem& problem, const DistConfig& config) {
     pump->maybe_dump(true);
   }
 
-  DistResult result{subgraph.gather(runtime), std::move(stats), {}, {},
-                    0, 0, kFlopsPerPoint, {}};
+  // The graph runs once, so the field is taken without a fresh one behind
+  // it. Rank-3 runs return every plane and a copy of plane 0 as `grid`.
+  std::vector<Grid2D> planes = subgraph.take_field(false);
+  const bool rank3 = problem.spec.rank == 3;
+  DistResult result{rank3 ? planes.front().clone() : std::move(planes.front()),
+                    std::move(stats), {}, {}, 0, 0, kFlopsPerPoint, {}};
   result.flops_per_point =
       spec::compile_spec(problem.spec, problem.nz).flops_per_point();
-  if (problem.spec.rank == 3) result.planes = subgraph.gather_planes(runtime);
+  if (rank3) result.planes = std::move(planes);
   result.trace_events = runtime.tracer().events();
   result.computed_points = subgraph.computed_points();
   result.nominal_points = subgraph.nominal_points();

@@ -174,22 +174,26 @@ void validate_solve(const Problem& problem, const DistConfig& config);
 DistResult run_distributed(const Problem& problem, const DistConfig& config);
 
 /// Handle to one solve compiled into a (possibly shared) TaskGraph by
-/// add_solve_subgraph(). After a runtime has executed the graph, gather()
-/// reassembles the final field from the retained state buffers. The handle
-/// stays valid for exactly one run — gather before Runtime::release_run().
-/// The graph owns what the solve's task bodies point into, so it may be
-/// fused, sealed and run after every handle is gone.
+/// add_solve_subgraph(). The solve owns its result field: the task producing
+/// each tile's final state (STEP(iterations), or INIT when iterations == 0)
+/// copies its core into that field in place of publishing the state, so no
+/// final state is retained by the runtime. After a run, one gather() or
+/// gather_planes() fills the field's Dirichlet ring and hands it over by
+/// move; the solve then gets a fresh field for a later run of the same graph
+/// (gather once per run). The graph owns what the solve's task bodies point
+/// into, the field included, so it may be fused, sealed and run after every
+/// handle is gone.
 class SolveSubgraph {
  public:
   /// Virtual process count the subgraph was decomposed for; must equal the
   /// executing runtime's nranks.
   int nodes() const;
-  /// Gather the solve's final field (rank 3: z plane 0). Throws if the graph
-  /// has not run.
+  /// Hand over the solve's final field (rank 3: z plane 0). `runtime` is the
+  /// runtime that ran the graph; the field does not depend on what it
+  /// retains, so gathering after Runtime::release_run() is fine. Throws
+  /// std::logic_error unless a run completed since the last gather.
   Grid2D gather(const rt::Runtime& runtime) const;
-  /// Gather interior z plane `z` (below rank 3, z must be 0).
-  Grid2D gather_plane(const rt::Runtime& runtime, int z) const;
-  /// All nz interior z planes (below rank 3: one plane, == gather()).
+  /// gather() for all nz interior z planes (below rank 3: one plane).
   std::vector<Grid2D> gather_planes(const rt::Runtime& runtime) const;
   /// Stencil points updated (redundant recompute included); valid after run.
   long long computed_points() const;
@@ -212,6 +216,13 @@ class SolveSubgraph {
   friend SolveSubgraph add_solve_subgraph(rt::TaskGraph& graph,
                                           const Problem& problem,
                                           const DistConfig& config);
+  friend DistResult run_distributed(const Problem& problem,
+                                    const DistConfig& config);
+  /// gather_planes(); `rearm` = false sets up no fresh field, for a graph
+  /// that will not run again. An unused fresh field left in the heap until
+  /// the graph was freed raised a 40-solve loop's peak RSS from 87 to 99 MB
+  /// at N = 768.
+  std::vector<Grid2D> take_field(bool rearm) const;
   std::shared_ptr<Impl> impl_;
 };
 

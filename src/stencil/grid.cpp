@@ -1,5 +1,6 @@
 #include "stencil/grid.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -23,6 +24,16 @@ Grid2D::Grid2D(int rows, int cols)
     : rows_(rows),
       cols_(cols),
       data_(AlignedBuffer<double>::zeroed(checked_cells(rows, cols))) {}
+
+Grid2D Grid2D::uninitialized(int rows, int cols) {
+  return {rows, cols, AlignedBuffer<double>(checked_cells(rows, cols))};
+}
+
+Grid2D Grid2D::clone() const {
+  Grid2D copy = uninitialized(rows_, cols_);
+  std::copy(data_.begin(), data_.end(), copy.data_.begin());
+  return copy;
+}
 
 void Grid2D::fill(const CellFn& initial, const CellFn& boundary) {
   for (int i = 0; i < rows_; ++i) {

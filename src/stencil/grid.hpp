@@ -2,11 +2,12 @@
 //
 // The interior is rows x cols; indices i in [-1, rows] and j in [-1, cols]
 // are valid, with the ring holding fixed boundary values. Used by the serial
-// reference implementation and as the gather target for distributed runs.
+// reference implementation and as the result field of distributed runs.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <utility>
 
 #include "support/aligned_buffer.hpp"
 
@@ -19,7 +20,17 @@ using CellFn = std::function<double(long, long)>;
 
 class Grid2D {
  public:
+  /// A zero-filled grid.
   Grid2D(int rows, int cols);
+
+  /// A grid whose cells hold whatever the allocation held: no cell is
+  /// written, so no page of it is touched here. Only for grids where every
+  /// interior cell is written before it is read (the ring is filled with
+  /// fill_ring).
+  static Grid2D uninitialized(int rows, int cols);
+
+  /// A deep copy (grids are move-only, so every copy is explicit).
+  Grid2D clone() const;
 
   /// Interior extent (the boundary ring is not counted).
   int rows() const { return rows_; }
@@ -43,6 +54,9 @@ class Grid2D {
   double interior_sum() const;
 
  private:
+  Grid2D(int rows, int cols, AlignedBuffer<double> data)
+      : rows_(rows), cols_(cols), data_(std::move(data)) {}
+
   std::size_t index(int i, int j) const {
     return static_cast<std::size_t>(i + 1) *
                static_cast<std::size_t>(cols_ + 2) +

@@ -1153,7 +1153,8 @@ TEST(GraphTransformStencil, RouteHandshakeIsPinned) {
 
 TEST(GraphTransformStencil, FusedGraphRunsTwiceOnOneResidentRuntime) {
   // A real fused stencil graph with persistent routes, run twice on one
-  // runtime: both runs gather the serial reference exactly.
+  // runtime with one gather after each run: the first gather leaves a fresh
+  // field for the second run, and both equal the serial reference exactly.
   const StencilCase c = stencil_case("star5", true);
   TaskGraph graph;
   const stencil::SolveSubgraph subgraph =
@@ -1163,12 +1164,11 @@ TEST(GraphTransformStencil, FusedGraphRunsTwiceOnOneResidentRuntime) {
   config.metrics = std::make_shared<obs::MetricsRegistry>();
   config.channel_factory = net::persistent_channel_factory({}, config.metrics);
   rt::Runtime runtime(config);
+  const stencil::Grid2D expected = stencil::solve_serial(c.problem);
   runtime.run(graph);
-  const stencil::Grid2D first = subgraph.gather(runtime);
+  EXPECT_TRUE(test_support::grids_match(expected, subgraph.gather(runtime)));
   runtime.run(graph);
-  EXPECT_TRUE(test_support::grids_match(first, subgraph.gather(runtime)));
-  EXPECT_TRUE(test_support::grids_match(stencil::solve_serial(c.problem),
-                                        subgraph.gather(runtime)));
+  EXPECT_TRUE(test_support::grids_match(expected, subgraph.gather(runtime)));
 }
 
 TEST(GraphTransformStencil, ClassicGraphsAreNotFuseReady) {

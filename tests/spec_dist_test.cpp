@@ -322,6 +322,41 @@ TEST(SpecDist, GatherPlanesShapesAndRedundancy) {
   EXPECT_GT(r.flops_per_point, 0.0);
 }
 
+TEST(SpecDist, Heat3dFieldIsHandedOverPlaneByPlane) {
+  // Rank 3: the final tasks write every interior z plane of the field.
+  // run_distributed returns the planes and a copy of plane 0 as `grid`
+  // (planes_match checks both); a subgraph's gather_planes hands over every
+  // plane, and gather() after the next run hands over plane 0. Zero
+  // iterations write INIT's planes.
+  for (const int iters : {4, 0}) {
+    const Problem problem =
+        spec_problem(spec::StencilSpec::heat3d(), 24, 22, iters, 3, 11);
+    const std::vector<Grid2D> expected = solve_serial_spec(problem);
+    const DistConfig config = small_config(2, rt::SchedPolicy::PriorityFifo);
+    EXPECT_TRUE(planes_match(problem, config)) << "iterations " << iters;
+
+    rt::TaskGraph graph;
+    const SolveSubgraph subgraph = add_solve_subgraph(graph, problem, config);
+    rt::Config rt_config;
+    rt_config.nranks = subgraph.nodes();
+    rt_config.workers_per_rank = 2;
+    rt::Runtime runtime(rt_config);
+    runtime.run(graph);
+    const std::vector<Grid2D> planes = subgraph.gather_planes(runtime);
+    ASSERT_EQ(planes.size(), expected.size());
+    for (std::size_t z = 0; z < planes.size(); ++z) {
+      EXPECT_TRUE(test_support::grids_match(expected[z], planes[z],
+                                            "z=" + std::to_string(z)))
+          << "iterations " << iters;
+    }
+    EXPECT_THROW(subgraph.gather(runtime), std::logic_error);
+    runtime.run(graph);
+    EXPECT_TRUE(
+        test_support::grids_match(expected[0], subgraph.gather(runtime)))
+        << "iterations " << iters;
+  }
+}
+
 TEST(SpecDist, OversizedStepsThrow) {
   const Problem problem =
       spec_problem(spec::StencilSpec::star9(), 24, 22, 4, 1, 11);

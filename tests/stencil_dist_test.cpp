@@ -8,6 +8,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "runtime/graph_transform.hpp"
 #include "stencil/dist_stencil.hpp"
@@ -371,7 +374,9 @@ TEST(DistStencil, KernelRatioFieldsArePinned) {
 TEST(DistStencil, StateBufferOutlivesSolveAndRuntime) {
   // A state buffer returns to its rank's pool when its last reference drops.
   // One held past the graph, the subgraph and the runtime must stay readable
-  // and must still be freed cleanly when it is finally dropped.
+  // and must still be freed cleanly when it is finally dropped. The final
+  // state goes into the field and is never published, so an extra task on
+  // the tile's rank takes the state after iteration iters - 1 and keeps it.
   const int iters = 5;
   const Problem problem = random_problem(16, 16, iters);
   DistConfig config;
@@ -380,15 +385,25 @@ TEST(DistStencil, StateBufferOutlivesSolveAndRuntime) {
   {
     rt::TaskGraph graph;
     const SolveSubgraph subgraph = add_solve_subgraph(graph, problem, config);
+    rt::TaskSpec keep;
+    keep.key = rt::TaskKey{100, 0, 0, 0};
+    keep.rank = TileMap(16, 16, 4, 4, 2, 2).rank_of(1, 2);
+    // STEP(k, ti, tj) has type 1 at key_space 0; slot 0 is its state.
+    keep.inputs.push_back({rt::TaskKey{1, iters - 1, 1, 2}, 0});
+    keep.body = [&state](rt::TaskContext& ctx) {
+      state = ctx.input_buffer(0);
+    };
+    graph.add_task(std::move(keep));
     rt::Config rt_config;
     rt_config.nranks = subgraph.nodes();
     rt_config.workers_per_rank = 2;
     rt::Runtime runtime(rt_config);
     runtime.run(graph);
-    // STEP(k, ti, tj) has type 1 at key_space 0; slot 0 is its state.
-    state = runtime.result(rt::TaskKey{1, iters, 1, 2}, 0);
+    EXPECT_EQ(
+        Grid2D::max_abs_diff(subgraph.gather(runtime), solve_serial(problem)),
+        0.0);
   }
-  const Grid2D expected = solve_serial(problem);
+  const Grid2D expected = solve_serial(random_problem(16, 16, iters - 1));
   const TileGeom g{4, 4, 1, 1, 1, 1};
   ASSERT_EQ(state->size(), g.size());
   for (int i = 0; i < g.h; ++i) {
@@ -400,23 +415,50 @@ TEST(DistStencil, StateBufferOutlivesSolveAndRuntime) {
 }
 
 TEST(DistStencil, GraphOwnsWhatItsBodiesPointInto) {
-  // Task bodies capture plain pointers into the solve's context and into
-  // the fused plan; the graph keeps both alive. The only SolveSubgraph
-  // handle is gone before the graph is fused, sealed and run, and each
-  // tile's final state is read back under the documented keys.
+  // Task bodies capture plain pointers into the solve's context (the field
+  // the final tasks write included) and into the fused plan; the graph keeps
+  // both alive. The only SolveSubgraph handle is gone before the graph is
+  // fused, sealed and run. Extra tasks read each tile's state after
+  // iteration `half` (a window boundary) under the documented keys, and the
+  // superstep hook hands over the final cores.
   const int iters = 8;
+  const int half = 4;
   const int steps = 2;
   const std::uint32_t key_space = 3;
   const Problem problem = random_problem(20, 18, iters, 9);
   const Grid2D expected = solve_serial(problem);
+  const Grid2D expected_half = solve_serial(random_problem(20, 18, half, 9));
+  const TileMap map(20, 18, 10, 9, 2, 2);  // one tile per node
   for (const int fuse : {1, 2}) {
+    std::mutex mu;
+    std::map<std::pair<int, int>, rt::Buffer> states;
+    std::map<std::pair<int, int>, std::vector<double>> cores;
     DistConfig config;
-    config.decomp = {10, 9, 2, 2};  // one tile per node
+    config.decomp = {10, 9, 2, 2};
     config.steps = steps;
     config.fuse_depth = fuse;
     config.key_space = key_space;
+    config.superstep_hook = [&](int k, int ti, int tj,
+                                const std::vector<double>& core) {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (k == iters) cores[{ti, tj}] = core;
+    };
     rt::TaskGraph graph;
     const int window = add_solve_subgraph(graph, problem, config).fuse_window();
+    for (int ti = 0; ti < 2; ++ti) {
+      for (int tj = 0; tj < 2; ++tj) {
+        rt::TaskSpec keep;
+        keep.key = rt::TaskKey{100, 0, ti, tj};
+        keep.rank = map.rank_of(ti, tj);
+        keep.inputs.push_back(
+            {rt::TaskKey{key_space * 2 + 1, half, ti, tj}, 0});
+        keep.body = [&mu, &states, ti, tj](rt::TaskContext& ctx) {
+          const std::lock_guard<std::mutex> lock(mu);
+          states[{ti, tj}] = ctx.input_buffer(0);
+        };
+        graph.add_task(std::move(keep));
+      }
+    }
     rt::fuse_supersteps(graph, window);
     graph.seal(4);
     rt::Config rt_config;
@@ -427,22 +469,86 @@ TEST(DistStencil, GraphOwnsWhatItsBodiesPointInto) {
     // Every side facing a (remote) neighbor carries a ghost band as deep as
     // the exchange window; the domain edge carries the one-deep ring.
     const int depth = steps * fuse;
+    ASSERT_EQ(states.size(), 4u);
+    ASSERT_EQ(cores.size(), 4u);
     for (int ti = 0; ti < 2; ++ti) {
       for (int tj = 0; tj < 2; ++tj) {
-        const rt::Buffer state = runtime.result(
-            rt::TaskKey{key_space * 2 + 1, iters, ti, tj}, 0);
+        const rt::Buffer& state = states[{ti, tj}];
+        const std::vector<double>& core = cores[{ti, tj}];
         const TileGeom g{10, 9, ti == 0 ? 1 : depth, ti == 0 ? depth : 1,
                          tj == 0 ? 1 : depth, tj == 0 ? depth : 1};
         ASSERT_EQ(state->size(), g.size()) << "fuse " << fuse;
+        ASSERT_EQ(core.size(), static_cast<std::size_t>(g.h * g.w));
         for (int i = 0; i < g.h; ++i) {
           for (int j = 0; j < g.w; ++j) {
             EXPECT_EQ((*state)[g.idx(i, j)],
+                      expected_half.at(10 * ti + i, 9 * tj + j))
+                << "fuse " << fuse << " tile (" << ti << "," << tj << ")";
+            EXPECT_EQ(core[static_cast<std::size_t>(i) * g.w + j],
                       expected.at(10 * ti + i, 9 * tj + j))
                 << "fuse " << fuse << " tile (" << ti << "," << tj << ")";
           }
         }
       }
     }
+  }
+}
+
+TEST(DistStencil, GatherHandsTheFieldOverOncePerRun) {
+  // The final tasks write the field; gather hands it over and leaves a
+  // fresh one, so each gather needs a completed run of its own. A gather
+  // does not read what the runtime retains: it works after release_run().
+  const Problem problem = random_problem(20, 18, 6, 5);
+  const Grid2D expected = solve_serial(problem);
+  DistConfig config;
+  config.decomp = {6, 5, 2, 2};
+  config.steps = 2;
+  rt::TaskGraph graph;
+  const SolveSubgraph subgraph = add_solve_subgraph(graph, problem, config);
+  rt::Config rt_config;
+  rt_config.nranks = subgraph.nodes();
+  rt_config.workers_per_rank = 2;
+  rt::Runtime runtime(rt_config);
+  EXPECT_THROW(subgraph.gather(runtime), std::logic_error);
+  for (int run = 0; run < 2; ++run) {
+    runtime.run(graph);
+    runtime.release_run();
+    EXPECT_EQ(Grid2D::max_abs_diff(subgraph.gather(runtime), expected), 0.0)
+        << "run " << run;
+    EXPECT_THROW(subgraph.gather(runtime), std::logic_error) << "run " << run;
+    EXPECT_THROW(subgraph.gather_planes(runtime), std::logic_error)
+        << "run " << run;
+  }
+}
+
+TEST(DistStencil, BatchedSolvesSharingOneGraphGatherEach) {
+  // The solver farm's batch shape: several solves in one graph (distinct
+  // key spaces, tile shapes and CA steps, one with zero iterations), one
+  // run, then one gather per solve.
+  const std::vector<Problem> problems = {random_problem(20, 18, 6, 1),
+                                         random_problem(16, 24, 5, 2),
+                                         random_problem(12, 12, 0, 3)};
+  const std::vector<Decomposition> decomps = {
+      {10, 9, 2, 2}, {4, 6, 2, 2}, {6, 6, 2, 2}};
+  rt::TaskGraph graph;
+  std::vector<SolveSubgraph> subgraphs;
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    DistConfig config;
+    config.decomp = decomps[i];
+    config.steps = i == 1 ? 2 : 1;
+    config.key_space = static_cast<std::uint32_t>(i);
+    subgraphs.push_back(add_solve_subgraph(graph, problems[i], config));
+  }
+  rt::Config rt_config;
+  rt_config.nranks = 4;
+  rt_config.workers_per_rank = 2;
+  rt::Runtime runtime(rt_config);
+  runtime.run(graph);
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    EXPECT_EQ(Grid2D::max_abs_diff(subgraphs[i].gather(runtime),
+                                   solve_serial(problems[i])),
+              0.0)
+        << "solve " << i;
   }
 }
 
