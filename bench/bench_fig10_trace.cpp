@@ -9,6 +9,7 @@
 //   2. The real task runtime on this host at reduced scale, with its tracer
 //      enabled: occupancy report and an ASCII Gantt strip per worker — the
 //      console rendition of the paper's trace plot.
+#include <chrono>
 #include <sstream>
 #include <thread>
 
@@ -87,9 +88,14 @@ int real_part(const Options& options) {
             << " hardware thread(s); occupancy percentages reflect that "
                "oversubscription, not runtime quality.\n";
 
-  Table causal({"version", "crit path ms", "compute %", "network %",
-                "runtime %", "cp msgs", "overlap %"});
+  // "time ms" is the run alone (RunStats::wall_time_s); "e2e ms" is the
+  // whole run_distributed call on steady_clock, graph build and the result
+  // field included, as figs. 7 and 8 report it.
+  Table causal({"version", "time ms", "e2e ms", "crit path ms", "compute %",
+                "network %", "runtime %", "cp msgs", "overlap %"});
   obs::TraceAnalysis base_analysis;
+  double base_time_ms = 0.0;
+  double base_e2e_ms = 0.0;
   struct Leg {
     const char* label;
     int steps;
@@ -122,7 +128,12 @@ int real_part(const Options& options) {
     // --file=<path>` in another terminal while this leg executes.
     bench::apply_telemetry_flags(config, options);
     const stencil::Problem problem = stencil::laplace_problem(n, iters);
+    const auto t0 = std::chrono::steady_clock::now();
     const stencil::DistResult result = run_distributed(problem, config);
+    const std::chrono::duration<double, std::milli> e2e =
+        std::chrono::steady_clock::now() - t0;
+    const double time_ms = result.stats.wall_time_s * 1e3;
+    const double e2e_ms = e2e.count();
     if (result.telemetry) {
       for (const obs::TelemetryEvent& event : result.telemetry->events()) {
         std::cout << "telemetry: [" << event.detector << "] rank "
@@ -188,13 +199,19 @@ int real_part(const Options& options) {
     bench_doc.add_time(leg_key + "_critical_path_s", a.critical_path_s,
                        50.0);
     const double cp = a.critical_path_s > 0.0 ? a.critical_path_s : 1.0;
-    causal.add_row({leg.label, Table::cell(a.critical_path_s * 1e3, 3),
+    causal.add_row({leg.label, Table::cell(time_ms, 1),
+                    Table::cell(e2e_ms, 1),
+                    Table::cell(a.critical_path_s * 1e3, 3),
                     Table::cell(100.0 * a.cp_compute_s / cp, 1),
                     Table::cell(100.0 * a.cp_network_s / cp, 1),
                     Table::cell(100.0 * a.cp_runtime_s / cp, 1),
                     Table::cell(static_cast<long long>(a.cp_messages)),
                     Table::cell(100.0 * a.overlap_efficiency, 1)});
-    if (steps == 1) base_analysis = a;
+    if (steps == 1) {
+      base_analysis = a;
+      base_time_ms = time_ms;
+      base_e2e_ms = e2e_ms;
+    }
 
     if (steps == 4 && leg.fuse == 1 && options.has("report")) {
       std::string path = options.get_string("report", "");
@@ -206,6 +223,10 @@ int real_part(const Options& options) {
       params["kernel_ratio"] = 0.4;
       params["base_critical_path_s"] = base_analysis.critical_path_s;
       params["base_network_share"] = base_analysis.network_share();
+      params["time_ms"] = time_ms;
+      params["e2e_ms"] = e2e_ms;
+      params["base_time_ms"] = base_time_ms;
+      params["base_e2e_ms"] = base_e2e_ms;
       obs::Json doc =
           obs::make_trace_analysis_report("fig10_ca", a, std::move(params));
       std::ofstream out(path);
@@ -216,8 +237,8 @@ int real_part(const Options& options) {
 
   bench::maybe_bench_json(bench_doc, options, "BENCH_bench_fig10_trace.json");
 
-  std::cout << "\nCausal analysis (critical path through the executed "
-               "DAG):\n";
+  std::cout << "\nReal runs: run and end-to-end time, and the causal "
+               "analysis (critical path through the executed DAG):\n";
   causal.print(std::cout);
   std::cout << "Shapes to check: CA's critical path is shorter and its "
                "network share lower\n(fewer halo hops on the path; see "

@@ -4,6 +4,8 @@
 //   * halo band pack/unpack
 //   * corner block pack/unpack
 //   * CSR SpMV (reports the index-traffic handicap vs the raw stencil)
+//   * one refresh step through the assembled and the split path, whose
+//     crossover sets kInnerSweepMinExtent
 //   * serial reference sweep
 //   * obs primitives (counter/histogram/gauge/timer) and an instrumented
 //     jacobi5 tile, backing the "<2% overhead" acceptance claim: compare
@@ -29,6 +31,7 @@
 #include "stencil/problem.hpp"
 #include "stencil/serial.hpp"
 #include "stencil/spec_kernel.hpp"
+#include "stencil/tile_step.hpp"
 
 namespace {
 
@@ -205,6 +208,57 @@ void BM_Jacobi5Variable(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Jacobi5Variable);
+
+void BM_RefreshStep(benchmark::State& state) {
+  // One base step of a tile with four same-node neighbours, the step every
+  // node-interior tile runs: refresh its four ghost lines, sweep the star5
+  // stage, fill the output's ring. Arg 0 is the square tile extent, arg 1
+  // the kernel (0 scalar, 1 vector), arg 2 the path: 0 assembles the whole
+  // tile in the scratch, 1 sweeps the inner rectangle from the previous
+  // state. The extent where the split path starts to win is
+  // kInnerSweepMinExtent. The two states swap every step, as a tile's chain
+  // of states does.
+  const int tile = static_cast<int>(state.range(0));
+  const auto kernel = state.range(1) == 0 ? KernelVariant::Scalar
+                                          : KernelVariant::Vector;
+  const bool split = state.range(2) != 0;
+  const spec::CompiledProgram program =
+      spec::compile_spec(spec::StencilSpec::star5());
+  const TileGeom g{tile, tile, 1, 1, 1, 1};
+  std::vector<double> prev(g.size(), 1.0);
+  std::vector<double> next(g.size(), 0.0);
+  const std::vector<double> neighbour(g.size(), 2.0);
+  TileStep step;
+  step.program = &program;
+  step.geom = g;
+  step.region = {0, tile, 0, tile};
+  step.kernel = kernel;
+  for (Side s : kAllSides) {
+    step.refresh.line[static_cast<int>(s)] = neighbour.data();
+    step.refresh.line_geom[static_cast<int>(s)] = g;
+  }
+  for (auto _ : state) {
+    step.prev = prev.data();
+    step.out = next.data();
+    step_tile(step, split);
+    benchmark::DoNotOptimize(next.data());
+    benchmark::ClobberMemory();
+    prev.swap(next);
+  }
+  state.SetLabel(std::string(kernel_variant_name(kernel)) +
+                 (split ? " split" : " assembled"));
+  state.counters["ns/pt"] = benchmark::Counter(
+      static_cast<double>(tile) * tile *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RefreshStep)->Apply([](benchmark::internal::Benchmark* b) {
+  for (const int extent : {32, 48, 64, 96, 144, 288}) {
+    for (const int kernel : {0, 1}) {
+      b->Args({extent, kernel, 0})->Args({extent, kernel, 1});
+    }
+  }
+});
 
 void BM_ObsCounterInc(benchmark::State& state) {
   obs::Counter counter;

@@ -12,6 +12,7 @@
 #include "runtime/graph_transform.hpp"
 #include "stencil/halo.hpp"
 #include "stencil/spec_kernel.hpp"
+#include "stencil/tile_step.hpp"
 
 namespace repro::stencil {
 
@@ -51,8 +52,6 @@ struct TileInfo {
   /// Diagonal-tap stencils only: this tile reads the same-node diagonal's
   /// state at c.
   bool corner_local[4] = {};
-  /// Some same-node line or corner refreshes this tile's ghosts every step.
-  bool local_refresh = false;
   bool boundary = false;  ///< any remote side (paper's "boundary tile")
 };
 
@@ -107,10 +106,6 @@ TileInfo make_tile_info(const TileMap& map, int steps, int radius, bool box,
         diag_exists && diag_remote &&
         (box || (steps > 1 && adjacent_remote));
     info.corner_local[static_cast<int>(c)] = box && diag_exists && !diag_remote;
-  }
-  for (int i = 0; i < 4; ++i) {
-    info.local_refresh = info.local_refresh || info.side_local[i] ||
-                         info.corner_local[i];
   }
   return info;
 }
@@ -184,36 +179,6 @@ class StatePool : public std::enable_shared_from_this<StatePool> {
   std::vector<std::unique_ptr<std::vector<double>>> free_;
   std::atomic<long long> misses_{0};
 };
-
-/// The calling worker thread's step-assembly buffer: at least n doubles of
-/// stale data, grown on demand and reused by every step body the thread runs.
-double* worker_scratch(std::size_t n) {
-  thread_local std::unique_ptr<double[]> buffer;
-  thread_local std::size_t capacity = 0;
-  if (capacity < n) {
-    buffer.reset();
-    buffer = std::make_unique_for_overwrite<double[]>(n);
-    capacity = n;
-  }
-  return buffer.get();
-}
-
-/// Copy the cells of one plane the kernel leaves unwritten: everything
-/// outside [r0,r1) x [c0,c1).
-void copy_outside(const double* src, double* dst, const TileGeom& g, int r0,
-                  int r1, int c0, int c1) {
-  const std::size_t ld = static_cast<std::size_t>(g.ld());
-  const std::size_t top = g.idx(r0, -g.gw);
-  const std::size_t bottom = g.idx(r1, -g.gw);
-  const auto west = static_cast<std::size_t>(c0 + g.gw);
-  const auto east = static_cast<std::size_t>(c1 + g.gw);
-  std::copy(src, src + top, dst);
-  for (std::size_t row = top; row < bottom; row += ld) {
-    std::copy(src + row, src + row + west, dst + row);
-    std::copy(src + row + east, src + row + ld, dst + row + east);
-  }
-  std::copy(src + bottom, src + g.size(), dst + bottom);
-}
 
 /// Immutable per-run context shared by all task bodies. The graph retains it
 /// (TaskGraph::retain); every body captures one plain pointer to it.
@@ -540,110 +505,79 @@ void run_step(Shared& shared, rt::TaskContext& ctx) {
   const TileInfo& tile_info = shared.tile(ctx.key().b, ctx.key().c);
   const TileGeom& g = tile_info.geom;
   const int steps = shared.steps;
-  const bool start = shared.superstep_start(k);
   const int radius = shared.program.radius;
   const int exchange_depth = radius * steps;
-  const int nfield = shared.program.nfield;
-  const std::size_t plane = g.size();
 
-  // 1. The kernel's input. A step that refreshes nothing — no superstep
-  //    start, no same-node line or corner — reads its previous state
-  //    directly: every fused member after its window's first, and the inner
-  //    steps of a CA tile without same-node neighbors. Any other step
-  //    assembles in this worker's scratch, its one full-tile pass: previous
-  //    own state (covers the core, the still-valid redundant bands, and the
-  //    Dirichlet ring)...
-  std::span<const double> prev = ctx.input(0);
-  const double* in = prev.data();
-  if (start || tile_info.local_refresh) {
-    double* assembled = worker_scratch(prev.size());
-    std::copy(prev.begin(), prev.end(), assembled);
-
-    // 2. ...refresh radius-deep local ghost lines (full extended extent),
-    //    then (diagonal-tap stencils) local corner blocks.
-    std::size_t next_input = 1;
+  // 1. The previous state and the ghost cells this step refreshes:
+  //    radius-deep local lines (full extended extent) and, for diagonal-tap
+  //    stencils, local corner blocks every step; at superstep starts the
+  //    received deep bands and corner blocks.
+  const std::span<const double> prev = ctx.input(0);
+  TileStep step;
+  step.program = &shared.program;
+  step.geom = g;
+  step.prev = prev.data();
+  GhostRefresh& refresh = step.refresh;
+  std::size_t next_input = 1;
+  for (Side s : kAllSides) {
+    const auto i = static_cast<int>(s);
+    if (!tile_info.side_local[i]) continue;
+    refresh.line[i] = ctx.input(next_input++).data();
+    refresh.line_geom[i] =
+        shared.tile(tile_info.ti + d_ti(s), tile_info.tj + d_tj(s)).geom;
+  }
+  for (Corner c : kAllCorners) {
+    const auto i = static_cast<int>(c);
+    if (!tile_info.corner_local[i]) continue;
+    refresh.corner[i] = ctx.input(next_input++).data();
+    refresh.corner_geom[i] =
+        shared.tile(tile_info.ti + d_ti(c), tile_info.tj + d_tj(c)).geom;
+  }
+  if (shared.superstep_start(k)) {
+    refresh.depth = exchange_depth;
     for (Side s : kAllSides) {
-      if (!tile_info.side_local[static_cast<int>(s)]) continue;
-      const TileInfo& nbr =
-          shared.tile(tile_info.ti + d_ti(s), tile_info.tj + d_tj(s));
-      copy_local_line_planes(assembled, g, s, ctx.input(next_input).data(),
-                             nbr.geom, radius, nfield);
-      ++next_input;
+      const auto i = static_cast<int>(s);
+      if (tile_info.side_deep[i]) refresh.band[i] = ctx.input(next_input++);
     }
     for (Corner c : kAllCorners) {
-      if (!tile_info.corner_local[static_cast<int>(c)]) continue;
-      const TileInfo& diag =
-          shared.tile(tile_info.ti + d_ti(c), tile_info.tj + d_tj(c));
-      copy_local_corner_planes(assembled, g, c, ctx.input(next_input).data(),
-                               diag.geom, nfield);
-      ++next_input;
+      const auto i = static_cast<int>(c);
+      if (tile_info.corner_in[i]) refresh.block[i] = ctx.input(next_input++);
     }
-
-    // 3. ...and at superstep starts overwrite the deep remote bands and
-    //    corners with freshly received data.
-    if (start) {
-      for (Side s : kAllSides) {
-        if (!tile_info.side_deep[static_cast<int>(s)]) continue;
-        unpack_band_planes(assembled, g, s, ctx.input(next_input),
-                           exchange_depth, nfield);
-        ++next_input;
-      }
-      for (Corner c : kAllCorners) {
-        if (!tile_info.corner_in[static_cast<int>(c)]) continue;
-        unpack_corner_planes(assembled, g, c, ctx.input(next_input),
-                             exchange_depth, nfield);
-        ++next_input;
-      }
-    }
-    in = assembled;
   }
 
-  // 4. Compute the (possibly shrunken) region for this inner step: the
-  //    valid region loses `radius` layers per step on deep sides (the
-  //    remote sides classically; every neighbor side when fuse-ready).
+  // 2. The (possibly shrunken) region for this inner step: the valid region
+  //    loses `radius` layers per step on deep sides (the remote sides
+  //    classically; every neighbor side when fuse-ready).
   const int jj = (k - 1) % steps;  // inner step within the superstep
   const int shrink = radius * (jj + 1);
-  int r0 = tile_info.side_deep[0] ? -(exchange_depth - shrink) : 0;
-  int r1 = g.h + (tile_info.side_deep[1] ? exchange_depth - shrink : 0);
-  int c0 = tile_info.side_deep[2] ? -(exchange_depth - shrink) : 0;
-  int c1 = g.w + (tile_info.side_deep[3] ? exchange_depth - shrink : 0);
-
+  Rect& region = step.region;
+  region.r0 = tile_info.side_deep[0] ? -(exchange_depth - shrink) : 0;
+  region.r1 = g.h + (tile_info.side_deep[1] ? exchange_depth - shrink : 0);
+  region.c0 = tile_info.side_deep[2] ? -(exchange_depth - shrink) : 0;
+  region.c1 = g.w + (tile_info.side_deep[3] ? exchange_depth - shrink : 0);
   if (shared.ratio < 1.0) {
     // Kernel-time tuning (paper section VI-D): update only a ratio-scaled
     // sub-rectangle. Timing experiments only.
-    r1 = r0 + std::max(1, static_cast<int>(std::lround(shared.ratio *
-                                                       (r1 - r0))));
-    c1 = c0 + std::max(1, static_cast<int>(std::lround(shared.ratio *
-                                                       (c1 - c0))));
+    region.r1 = region.r0 + std::max(1, static_cast<int>(std::lround(
+                                            shared.ratio *
+                                            (region.r1 - region.r0))));
+    region.c1 = region.c0 + std::max(1, static_cast<int>(std::lround(
+                                            shared.ratio *
+                                            (region.c1 - region.c0))));
   }
 
-  // 5. The output comes from the rank's pool and receives only what the
-  //    kernel leaves unwritten: the ring, stale ghost cells and, when
-  //    ratio < 1, the core outside the region on written planes; frozen
-  //    z-boundary planes whole.
+  // 3. The output comes from the rank's pool; step_tile sweeps into it and
+  //    fills every cell the sweep leaves unwritten.
   auto state = shared.pools[static_cast<std::size_t>(tile_info.rank)]->take(
       prev.size());
-  double* out = state->data();
-  // The stage writes the interior z planes [zlo, zlo + nz).
-  const int zlo = shared.program.zlo;
-  const int nz = shared.program.nz;
-  for (int p = 0; p < nfield; ++p) {
-    const std::size_t off = static_cast<std::size_t>(p) * plane;
-    if (p >= zlo && p < zlo + nz) {
-      copy_outside(in + off, out + off, g, r0, r1, c0, c1);
-    } else {
-      std::copy_n(in + off, plane, out + off);
-    }
-  }
+  step.out = state->data();
   if (shared.problem.coefficient) {
-    const auto coeff = ctx.input(ctx.num_inputs() - 1);
-    jacobi5_var(in, out, g, coeff.data(), r0, r1, c0, c1);
-  } else {
-    apply_program_stage(in, out, g, shared.program, r0, r1, c0, c1,
-                        shared.kernel, shared.tuning);
+    step.coeff = ctx.input(ctx.num_inputs() - 1).data();
   }
-  shared.computed_points.fetch_add(static_cast<long long>(r1 - r0) * (c1 - c0),
-                                   std::memory_order_relaxed);
+  step.kernel = shared.kernel;
+  step.tuning = shared.tuning;
+  step_tile(step, sweeps_inner(g));
+  shared.computed_points.fetch_add(region.points(), std::memory_order_relaxed);
 
   // The tile is globally consistent again at superstep boundaries — the
   // natural checkpoint instant. Fused windows keep the original cadence:
@@ -651,16 +585,16 @@ void run_step(Shared& shared, rt::TaskContext& ctx) {
   // consistent at every one of those interior boundaries (all deep sides
   // shrink uniformly past the core only at window end).
   if (shared.hook && k % shared.hook_period == 0) {
-    call_hook(shared, tile_info, k, out);
+    call_hook(shared, tile_info, k, step.out);
   }
   // The final state goes straight into the field; its buffer returns to the
   // pool when `state` drops.
   if (k == shared.problem.iterations) {
-    write_back(shared, tile_info, out);
+    write_back(shared, tile_info, step.out);
     return;
   }
   publish_all(ctx, tile_info, pack_plan(shared, tile_info, k), exchange_depth,
-              std::move(state), nfield);
+              std::move(state), shared.program.nfield);
 }
 
 class Builder {

@@ -11,7 +11,8 @@
 //     error and never hang the runtime;
 //   * fused wavefronts: every pool draws a fuse depth, and a deterministic
 //     pool pins the sharp window shapes (k > s, ragged final window, k in
-//     {2, 3, 5}) under both schedulers and the persistent wire.
+//     {2, 3, 5}) under both schedulers and the persistent wire;
+//   * tile extents on both sides of kInnerSweepMinExtent in every pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "stencil/dist_stencil.hpp"
 #include "stencil/serial.hpp"
 #include "stencil/spec_kernel.hpp"
+#include "stencil/tile_step.hpp"
 #include "support/rng.hpp"
 
 namespace repro {
@@ -29,12 +31,20 @@ namespace {
 
 TEST(FuzzDistStencil, RandomConfigurationsMatchSerial) {
   Rng rng(0xCA5E);
-  for (int round = 0; round < 12; ++round) {
-    const int rows = 8 + static_cast<int>(rng.next_below(25));
-    const int cols = 8 + static_cast<int>(rng.next_below(25));
+  for (int round = 0; round < 16; ++round) {
+    int rows = 8 + static_cast<int>(rng.next_below(25));
+    int cols = 8 + static_cast<int>(rng.next_below(25));
     const int iters = 1 + static_cast<int>(rng.next_below(10));
-    const int mb = 2 + static_cast<int>(rng.next_below(6));
-    const int nb = 2 + static_cast<int>(rng.next_below(6));
+    int mb = 2 + static_cast<int>(rng.next_below(6));
+    int nb = 2 + static_cast<int>(rng.next_below(6));
+    if (round >= 12) {
+      // Tiles past kInnerSweepMinExtent, whose steps sweep their inner
+      // rectangle straight from the previous state.
+      mb = stencil::kInnerSweepMinExtent + static_cast<int>(rng.next_below(24));
+      nb = stencil::kInnerSweepMinExtent + static_cast<int>(rng.next_below(24));
+      rows = mb + static_cast<int>(rng.next_below(2 * mb));
+      cols = nb + static_cast<int>(rng.next_below(2 * nb));
+    }
 
     stencil::DistConfig config;
     const int tiles_r = (rows + mb - 1) / mb;
@@ -209,7 +219,11 @@ TEST(FuzzDistStencil, FusedWavefrontPoolMatchesSerial) {
   struct FusedCase {
     int steps, fuse, iters, node_rows, node_cols;
     bool persistent;
+    int tile = 10;
   };
+  // Tiles past kInnerSweepMinExtent: window starts sweep their inner
+  // rectangle straight from the previous state.
+  const int large = stencil::kInnerSweepMinExtent + 6;
   const FusedCase cases[] = {
       {1, 2, 7, 3, 3, false},   // ragged: 7 iterations over windows of 2
       {1, 3, 8, 3, 1, false},   // k > s; local vertical, remote horizontal
@@ -217,20 +231,22 @@ TEST(FuzzDistStencil, FusedWavefrontPoolMatchesSerial) {
       {2, 5, 11, 3, 3, false},  // k > s with s > 1, W = 10 fills the tile
       {3, 3, 10, 1, 3, true},   // k == s, ragged, mixed local/remote sides
       {2, 3, 7, 3, 3, false},   // W = 6 > iters' remainder: 2nd window short
+      {2, 2, 9, 3, 3, false, large},  // large tiles, ragged
+      {1, 3, 7, 1, 3, true, large},   // large tiles, persistent, mixed sides
   };
   for (const auto sched :
        {rt::SchedPolicy::PriorityFifo, rt::SchedPolicy::WorkStealing}) {
     for (const FusedCase& c : cases) {
       stencil::DistConfig config;
-      config.decomp = {10, 10, c.node_rows, c.node_cols};
+      config.decomp = {c.tile, c.tile, c.node_rows, c.node_cols};
       config.steps = c.steps;
       config.fuse_depth = c.fuse;
       config.scheduler = sched;
       config.persistent = c.persistent;
       SCOPED_TRACE(test_support::describe(config) + " iters=" +
                    std::to_string(c.iters));
-      const stencil::Problem problem =
-          stencil::random_problem(30, 30, c.iters, 6000 + c.iters);
+      const stencil::Problem problem = stencil::random_problem(
+          3 * c.tile, 3 * c.tile, c.iters, 6000 + c.iters);
       const stencil::DistResult result = run_distributed(problem, config);
       ASSERT_TRUE(
           test_support::grids_match(solve_serial(problem), result.grid));
@@ -256,16 +272,26 @@ TEST(FuzzSpecStencil, RandomSpecsMatchSerial) {
   const char* env = std::getenv("REPRO_SPEC_FUZZ_ROUNDS");
   const int rounds = env ? std::atoi(env) : 10;
   int accepted = 0;
+  int large_accepted = 0;
   for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(rounds);
        ++seed) {
     Rng rng(0x5BEC0000 + seed);
     const spec::StencilSpec sp = spec::random_spec(seed);
     const int nz = sp.rank == 3 ? 1 + static_cast<int>(rng.next_below(3)) : 1;
-    const int rows = 10 + static_cast<int>(rng.next_below(20));
-    const int cols = 10 + static_cast<int>(rng.next_below(20));
+    int rows = 10 + static_cast<int>(rng.next_below(20));
+    int cols = 10 + static_cast<int>(rng.next_below(20));
     const int iters = 1 + static_cast<int>(rng.next_below(5));
-    const int mb = 3 + static_cast<int>(rng.next_below(6));
-    const int nb = 3 + static_cast<int>(rng.next_below(6));
+    int mb = 3 + static_cast<int>(rng.next_below(6));
+    int nb = 3 + static_cast<int>(rng.next_below(6));
+    // Every third seed, the first included, runs tiles past
+    // kInnerSweepMinExtent.
+    const bool large = seed % 3 == 1;
+    if (large) {
+      mb = stencil::kInnerSweepMinExtent + static_cast<int>(rng.next_below(16));
+      nb = stencil::kInnerSweepMinExtent + static_cast<int>(rng.next_below(16));
+      rows = mb + static_cast<int>(rng.next_below(mb));
+      cols = nb + static_cast<int>(rng.next_below(nb));
+    }
     const int tiles_r = (rows + mb - 1) / mb;
     const int tiles_c = (cols + nb - 1) / nb;
     const int node_rows = 1 + static_cast<int>(rng.next_below(
@@ -315,8 +341,10 @@ TEST(FuzzSpecStencil, RandomSpecsMatchSerial) {
     ASSERT_TRUE(test_support::planes_match(
         stencil::solve_serial_spec(problem), result));
     ++accepted;
+    large_accepted += large;
   }
   EXPECT_GT(accepted, 0);
+  EXPECT_GT(large_accepted, 0);
 }
 
 TEST(FuzzRuntime, RandomDagsWithRandomPlacementComputeCorrectly) {

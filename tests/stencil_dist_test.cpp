@@ -12,9 +12,13 @@
 #include <mutex>
 #include <utility>
 
+#include "equivalence_helpers.hpp"
 #include "runtime/graph_transform.hpp"
+#include "spec/stencil_spec.hpp"
 #include "stencil/dist_stencil.hpp"
 #include "stencil/serial.hpp"
+#include "stencil/spec_kernel.hpp"
+#include "stencil/tile_step.hpp"
 
 namespace repro::stencil {
 namespace {
@@ -107,6 +111,55 @@ TEST_P(DistEquivalence, PersistentChannelMatchesSerialBitForBit) {
   const DistResult result = run_distributed(problem, config);
   const Grid2D expected = solve_serial(problem);
   EXPECT_EQ(Grid2D::max_abs_diff(expected, result.grid), 0.0);
+}
+
+TEST(DistStencil, TilesOnBothSidesOfTheInnerSweepRuleMatchSerial) {
+  // Tiles past kInnerSweepMinExtent sweep their inner rectangle straight
+  // from the previous state; smaller tiles assemble the whole tile. Each
+  // mode runs once with tiles below the rule and once above it, on 2x2
+  // nodes of 2x2 tiles (every tile has a local and a remote side) with a
+  // ragged last tile row and column, and must match its serial oracle.
+  struct Mode {
+    const char* name;
+    spec::StencilSpec spec;
+    int nz;
+    bool variable;
+    int steps, fuse;
+    bool persistent;
+  };
+  const Mode modes[] = {
+      {"base", spec::StencilSpec::star5(), 1, false, 1, 1, false},
+      {"ca", spec::StencilSpec::star5(), 1, false, 3, 1, false},
+      {"fuse2", spec::StencilSpec::star5(), 1, false, 2, 2, false},
+      {"star9", spec::StencilSpec::star9(), 1, false, 2, 1, false},
+      {"box9", spec::StencilSpec::box9(), 1, false, 2, 1, false},
+      {"heat3d", spec::StencilSpec::heat3d(), 3, false, 2, 1, false},
+      {"variable", spec::StencilSpec::star5(), 1, true, 2, 1, false},
+      {"persistent", spec::StencilSpec::star5(), 1, false, 3, 1, true},
+  };
+  for (const int tile : {kInnerSweepMinExtent - 8, kInnerSweepMinExtent + 8}) {
+    const int rows = 3 * tile + 9;
+    const int cols = 3 * tile + 11;
+    for (const Mode& mode : modes) {
+      SCOPED_TRACE(std::string(mode.name) + " tile " + std::to_string(tile));
+      DistConfig config;
+      config.decomp = {tile, tile, 2, 2};
+      config.steps = mode.steps;
+      config.fuse_depth = mode.fuse;
+      config.persistent = mode.persistent;
+      config.workers_per_rank = 2;
+      if (mode.variable) {
+        const Problem problem = random_variable_problem(rows, cols, 7, 31);
+        EXPECT_TRUE(test_support::grids_match(
+            solve_serial(problem), run_distributed(problem, config).grid));
+        continue;
+      }
+      const Problem problem =
+          spec_problem(mode.spec, rows, cols, 7, mode.nz, 37);
+      EXPECT_TRUE(test_support::planes_match(
+          solve_serial_spec(problem), run_distributed(problem, config)));
+    }
+  }
 }
 
 TEST(DistStencil, PersistentSteadyStateAllocatesNothing) {
@@ -369,6 +422,37 @@ TEST(DistStencil, KernelRatioFieldsArePinned) {
       grid_hash(
           run_distributed(random_variable_problem(20, 18, 7, 5), config).grid),
       0x575e403956ab0e2full);
+
+  // Tiles of 150 x 144, past kInnerSweepMinExtent: the ratio region's
+  // inner rectangle is swept straight from the previous state. Recorded
+  // from the step body that assembled every refreshed tile whole.
+  const Pin large_pins[] = {
+      {0.5, 1, 0x7f73801cac961c4full}, {0.5, 2, 0xe3c9cfa36388fcd7ull},
+      {0.5, 3, 0x0e58f09c9eea052full}, {0.3, 1, 0x5e0c1be4357fbc77ull},
+      {0.3, 2, 0x13e79f551a02b76full}, {0.3, 3, 0x217b3c5f87aaff20ull},
+  };
+  const Problem large = random_problem(600, 576, 7, 5);
+  for (const Pin& pin : large_pins) {
+    for (const KernelVariant kernel :
+         {KernelVariant::Scalar, KernelVariant::Vector}) {
+      DistConfig large_config;
+      large_config.decomp = {150, 144, 2, 2};
+      large_config.steps = pin.steps;
+      large_config.kernel_ratio = pin.ratio;
+      large_config.kernel = kernel;
+      EXPECT_EQ(grid_hash(run_distributed(large, large_config).grid), pin.hash)
+          << "150 x 144 tiles, ratio " << pin.ratio << " steps " << pin.steps
+          << " kernel " << kernel_variant_name(kernel);
+    }
+  }
+  DistConfig large_config;
+  large_config.decomp = {150, 144, 2, 2};
+  large_config.steps = 2;
+  large_config.kernel_ratio = 0.5;
+  EXPECT_EQ(grid_hash(run_distributed(random_variable_problem(600, 576, 7, 5),
+                                      large_config)
+                          .grid),
+            0xdda882762bc53237ull);
 }
 
 TEST(DistStencil, StateBufferOutlivesSolveAndRuntime) {
