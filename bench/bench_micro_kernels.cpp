@@ -234,7 +234,7 @@ void BM_RefreshStep(benchmark::State& state) {
   step.region = {0, tile, 0, tile};
   step.kernel = kernel;
   for (Side s : kAllSides) {
-    step.refresh.line[static_cast<int>(s)] = neighbour.data();
+    step.refresh.line[static_cast<int>(s)] = CellView(neighbour.data(), g);
     step.refresh.line_geom[static_cast<int>(s)] = g;
   }
   for (auto _ : state) {

@@ -33,6 +33,9 @@ constexpr std::uint16_t kSlotCorner(Corner c) {
 }
 /// Variable-coefficient planes, published once per tile by INIT.
 constexpr std::uint16_t kSlotCoeff = 9;
+/// Packed edge lines (pack_edge_lines) for same-node readers of a tile that
+/// publishes them (TileInfo::edge_lines).
+constexpr std::uint16_t kSlotLines = 10;
 
 /// Static per-tile facts derived from the TileMap.
 struct TileInfo {
@@ -53,6 +56,11 @@ struct TileInfo {
   /// state at c.
   bool corner_local[4] = {};
   bool boundary = false;  ///< any remote side (paper's "boundary tile")
+  /// Its same-node readers read its packed edge lines (kSlotLines), not its
+  /// state, so each state it publishes has one reader: its own next step.
+  /// Large tiles only (sweeps_inner, DESIGN.md §6 item 8); a smaller tile's
+  /// state is read in place by every same-node neighbour.
+  bool edge_lines = false;
 };
 
 TileInfo make_tile_info(const TileMap& map, int steps, int radius, bool box,
@@ -107,6 +115,12 @@ TileInfo make_tile_info(const TileMap& map, int steps, int radius, bool box,
         (box || (steps > 1 && adjacent_remote));
     info.corner_local[static_cast<int>(c)] = box && diag_exists && !diag_remote;
   }
+
+  bool local_reader = false;
+  for (int i = 0; i < 4; ++i) {
+    local_reader = local_reader || info.side_local[i] || info.corner_local[i];
+  }
+  info.edge_lines = local_reader && sweeps_inner(info.geom);
   return info;
 }
 
@@ -369,6 +383,7 @@ void write_back(Shared& shared, const TileInfo& info, const double* ext) {
 struct PackPlan {
   bool bands[4] = {};
   bool corners[4] = {};
+  bool lines = false;  ///< edge lines for same-node readers
 };
 
 /// Does this plan ship bands/corners to a remote node?
@@ -382,10 +397,13 @@ bool publishes_remote(const PackPlan& plan) {
   return false;
 }
 
-/// The bands and corners the task publishing state k of this tile packs.
+/// What the task publishing state k of this tile packs: edge lines for
+/// every step that has a next one, bands and corners at superstep ends.
 PackPlan pack_plan(const Shared& shared, const TileInfo& info, int k) {
   PackPlan plan;
-  if (k >= shared.problem.iterations || k % shared.steps != 0) return plan;
+  if (k >= shared.problem.iterations) return plan;
+  plan.lines = info.edge_lines;
+  if (k % shared.steps != 0) return plan;
   for (Side s : kAllSides) {
     plan.bands[static_cast<int>(s)] = info.side_deep[static_cast<int>(s)];
   }
@@ -414,15 +432,18 @@ int task_priority(bool boundary, const PackPlan& plan) {
   return boundary ? kPriorityBoundary : kPriorityInterior;
 }
 
-/// Publish state + any planned bands/corners from the freshly computed
-/// extended buffer. `nplanes` is the plane count exchanged remotely (the
-/// program's nfield; 1 below rank 3, where the _planes variants reduce to
-/// the single-plane pack functions byte-for-byte).
-void publish_all(rt::TaskContext& ctx, const TileInfo& info,
-                 const PackPlan& plan, int depth,
-                 std::shared_ptr<std::vector<double>> state, int nplanes) {
+/// Publish state + any planned bands, corners and edge lines from the
+/// freshly computed extended buffer, every one of the program's nfield
+/// planes (1 below rank 3, where the _planes variants reduce to the
+/// single-plane pack functions byte-for-byte).
+void publish_all(rt::TaskContext& ctx, const Shared& shared,
+                 const TileInfo& info, const PackPlan& plan,
+                 std::shared_ptr<std::vector<double>> state) {
   const double* ext = state->data();
   const TileGeom& g = info.geom;
+  const int radius = shared.program.radius;
+  const int depth = radius * shared.steps;
+  const int nplanes = shared.program.nfield;
   // Persistent-channel runs hand back a pre-registered route buffer per
   // halo slot: pack straight into it (no allocation) and publish the
   // fragments immediately, so remote bands depart while the state publish
@@ -450,7 +471,18 @@ void publish_all(rt::TaskContext& ctx, const TileInfo& info,
       }
     }
   }
+  if (plan.lines) {
+    ctx.publish(kSlotLines, pack_edge_lines(ext, g, radius, nplanes));
+  }
   ctx.publish(kSlotState, std::move(state));
+}
+
+/// Neighbour `nbr`'s cells as its same-node reader sees them: the lines of
+/// its edge `edge` when it packs edge lines, else its whole state.
+CellView local_view(const TileInfo& nbr, const double* input, Side edge,
+                    int radius) {
+  return nbr.edge_lines ? edge_line_view(input, nbr.geom, edge, radius)
+                        : CellView(input, nbr.geom);
 }
 
 /// INIT(0, ti, tj): sample the tile's extended initial state (and its
@@ -494,8 +526,8 @@ void run_init(Shared& shared, rt::TaskContext& ctx) {
     write_back(shared, tile_info, ext);
     return;
   }
-  publish_all(ctx, tile_info, pack_plan(shared, tile_info, 0),
-              shared.program.radius * shared.steps, std::move(state), nfield);
+  publish_all(ctx, shared, tile_info, pack_plan(shared, tile_info, 0),
+              std::move(state));
 }
 
 /// STEP(k, ti, tj): one Jacobi iteration of the tile, inputs in the order
@@ -510,8 +542,9 @@ void run_step(Shared& shared, rt::TaskContext& ctx) {
 
   // 1. The previous state and the ghost cells this step refreshes:
   //    radius-deep local lines (full extended extent) and, for diagonal-tap
-  //    stencils, local corner blocks every step; at superstep starts the
-  //    received deep bands and corner blocks.
+  //    stencils, local corner blocks every step, read from a same-node
+  //    neighbour's state or edge lines; at superstep starts the received
+  //    deep bands and corner blocks.
   const std::span<const double> prev = ctx.input(0);
   TileStep step;
   step.program = &shared.program;
@@ -522,16 +555,22 @@ void run_step(Shared& shared, rt::TaskContext& ctx) {
   for (Side s : kAllSides) {
     const auto i = static_cast<int>(s);
     if (!tile_info.side_local[i]) continue;
-    refresh.line[i] = ctx.input(next_input++).data();
-    refresh.line_geom[i] =
-        shared.tile(tile_info.ti + d_ti(s), tile_info.tj + d_tj(s)).geom;
+    const TileInfo& nbr =
+        shared.tile(tile_info.ti + d_ti(s), tile_info.tj + d_tj(s));
+    refresh.line[i] = local_view(nbr, ctx.input(next_input++).data(),
+                                 opposite(s), radius);
+    refresh.line_geom[i] = nbr.geom;
   }
   for (Corner c : kAllCorners) {
     const auto i = static_cast<int>(c);
     if (!tile_info.corner_local[i]) continue;
-    refresh.corner[i] = ctx.input(next_input++).data();
-    refresh.corner_geom[i] =
-        shared.tile(tile_info.ti + d_ti(c), tile_info.tj + d_tj(c)).geom;
+    // The diagonal's corner cells lie in its edge rows facing this tile.
+    const TileInfo& diag =
+        shared.tile(tile_info.ti + d_ti(c), tile_info.tj + d_tj(c));
+    refresh.corner[i] =
+        local_view(diag, ctx.input(next_input++).data(),
+                   d_ti(c) < 0 ? Side::South : Side::North, radius);
+    refresh.corner_geom[i] = diag.geom;
   }
   if (shared.superstep_start(k)) {
     refresh.depth = exchange_depth;
@@ -593,8 +632,8 @@ void run_step(Shared& shared, rt::TaskContext& ctx) {
     write_back(shared, tile_info, step.out);
     return;
   }
-  publish_all(ctx, tile_info, pack_plan(shared, tile_info, k), exchange_depth,
-              std::move(state), shared.program.nfield);
+  publish_all(ctx, shared, tile_info, pack_plan(shared, tile_info, k),
+              std::move(state));
 }
 
 class Builder {
@@ -717,24 +756,24 @@ class Builder {
     const bool start = shared_->superstep_start(k);
     const bool variable = static_cast<bool>(shared_->problem.coefficient);
 
-    // Input order: own prev state; local neighbor states (N,S,W,E); then at
+    // Input order: own prev state; local neighbors (N,S,W,E) and local
+    // diagonals (NW,NE,SW,SE), each its state or its edge lines; then at
     // superstep starts, remote bands (N,S,W,E) and remote corners
     // (NW,NE,SW,SE). run_step indexes inputs in exactly this order.
     spec.inputs.reserve(step_inputs(info, start, variable));
     spec.inputs.push_back({state_key(k - 1, info.ti, info.tj),
                            kSlotState});
+    const auto local_input = [&](int dti, int dtj) {
+      const TileInfo& nbr = tile(info.ti + dti, info.tj + dtj);
+      spec.inputs.push_back({state_key(k - 1, nbr.ti, nbr.tj),
+                             nbr.edge_lines ? kSlotLines : kSlotState});
+    };
     for (Side s : kAllSides) {
-      if (info.side_local[static_cast<int>(s)]) {
-        spec.inputs.push_back(
-            {state_key(k - 1, info.ti + d_ti(s), info.tj + d_tj(s)),
-             kSlotState});
-      }
+      if (info.side_local[static_cast<int>(s)]) local_input(d_ti(s), d_tj(s));
     }
     for (Corner c : kAllCorners) {
       if (info.corner_local[static_cast<int>(c)]) {
-        spec.inputs.push_back(
-            {state_key(k - 1, info.ti + d_ti(c), info.tj + d_tj(c)),
-             kSlotState});
+        local_input(d_ti(c), d_tj(c));
       }
     }
     if (start) {

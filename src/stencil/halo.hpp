@@ -8,11 +8,17 @@
 //     to the diagonal neighbor (PA1's "buffer additional data from the four
 //     corner neighbors"); the consumer uses the gn x gw (etc.) sub-block its
 //     ghost geometry actually has.
-//   * a LOCAL LINE is the one-deep ghost line refreshed every inner step from
-//     a same-node neighbor's buffer; it spans the full *extended* lateral
-//     extent so that the lateral cells of deep (remote-side) ghost bands are
+//   * a LOCAL LINE is the radius-deep ghost line refreshed every inner step
+//     from a same-node neighbor; it spans the full *extended* lateral extent
+//     so that the lateral cells of deep (remote-side) ghost bands are
 //     refreshed transparently — this is what keeps the CA shrinking regions
-//     of adjacent boundary tiles consistent without extra messages.
+//     of adjacent boundary tiles consistent without extra messages. The
+//     reader copies it through a CellView: out of the neighbor's whole
+//     extended state, or out of the EDGE LINES a large neighbor packs for
+//     its same-node readers (its radius-deep edge rows and columns over the
+//     full extended extent), so that the state itself has one reader, the
+//     tile's own next step. Either source yields the same cells in the same
+//     order.
 #pragma once
 
 #include <span>
@@ -79,20 +85,63 @@ std::vector<double> pack_corner(const double* ext, const TileGeom& g,
 void unpack_corner(double* ext, const TileGeom& g, Corner corner,
                    std::span<const double> block, int s);
 
+/// Where a same-node reader finds a neighbor's cells, one field plane after
+/// another: cell (i, j) of plane p, in the neighbor's core coordinates, is
+/// at data[p * plane + (i - row0) * stride + (j - col0)]. Either the
+/// neighbor's whole extended state or one edge of its packed edge lines.
+struct CellView {
+  const double* data = nullptr;  ///< null: nothing to read
+  std::size_t plane = 0;         ///< doubles from one field plane to the next
+  std::size_t stride = 0;        ///< doubles from one row to the next
+  int row0 = 0, col0 = 0;        ///< core coordinates of data[0]
+
+  CellView() = default;
+  /// A tile's whole extended state of geometry g.
+  CellView(const double* ext, const TileGeom& g)
+      : data(ext), plane(g.size()), stride(static_cast<std::size_t>(g.ld())),
+        row0(-g.gn), col0(-g.gw) {}
+  CellView(const double* d, std::size_t pl, std::size_t st, int r0, int c0)
+      : data(d), plane(pl), stride(st), row0(r0), col0(c0) {}
+
+  const double* at(int i, int j) const {
+    return data + static_cast<std::size_t>(i - row0) * stride +
+           static_cast<std::size_t>(j - col0);
+  }
+  /// Plane p's cells.
+  CellView plane_view(int p) const {
+    return {data + static_cast<std::size_t>(p) * plane, plane, stride, row0,
+            col0};
+  }
+};
+
+/// Pack a tile's edge lines, plane-major over the first nplanes planes of
+/// `ext`: per plane its `depth` core rows along the north and south edges
+/// over the full extended width, then its `depth` core columns along the
+/// west and east edges over the full extended height.
+std::vector<double> pack_edge_lines(const double* ext, const TileGeom& g,
+                                    int depth, int nplanes);
+
+/// The packed lines (pack_edge_lines output) of the edge on `side`, as the
+/// producer's cells.
+CellView edge_line_view(const double* lines, const TileGeom& g, Side side,
+                        int depth);
+
 /// Refresh the `depth`-deep ghost band on `side`, spanning the full extended
-/// lateral extent, from the same-node neighbor's buffer (depth = the stencil
-/// radius; 1 for the paper's 5-point case). The two geometries must agree on
-/// the lateral extents (guaranteed by blocked distribution), and the ghost
-/// depth on `side` must equal `depth`.
+/// lateral extent, from the same-node neighbor's cells (depth = the stencil
+/// radius; 1 for the paper's 5-point case): a block of rows for a north or
+/// south line, columns read with the view's row stride for a west or east
+/// one. The two geometries must agree on the lateral extents (guaranteed by
+/// blocked distribution), and the ghost depth on `side` must equal `depth`.
 void copy_local_line(double* ext, const TileGeom& g, Side side,
-                     const double* nbr, const TileGeom& ng, int depth = 1);
+                     const CellView& nbr, const TileGeom& ng, int depth = 1);
 
 /// Refresh this tile's ghost corner region at `corner` (gn x gw cells etc.)
 /// from the same-node DIAGONAL neighbor's core corner — needed every step by
 /// stencils with diagonal taps, whose points read diagonal neighbors
-/// directly.
+/// directly. A same-node diagonal's two adjacent sides are same-node too, so
+/// the region is radius deep both ways and lies in the diagonal's edge rows.
 void copy_local_corner(double* ext, const TileGeom& g, Corner corner,
-                       const double* diag, const TileGeom& dg);
+                       const CellView& diag, const TileGeom& dg);
 
 // ------------------------------------------------------- multi-plane variants
 //
@@ -123,10 +172,10 @@ std::vector<double> pack_corner_planes(const double* ext, const TileGeom& g,
 void unpack_corner_planes(double* ext, const TileGeom& g, Corner corner,
                           std::span<const double> block, int s, int nplanes);
 void copy_local_line_planes(double* ext, const TileGeom& g, Side side,
-                            const double* nbr, const TileGeom& ng, int depth,
+                            const CellView& nbr, const TileGeom& ng, int depth,
                             int nplanes);
 void copy_local_corner_planes(double* ext, const TileGeom& g, Corner corner,
-                              const double* diag, const TileGeom& dg,
+                              const CellView& diag, const TileGeom& dg,
                               int nplanes);
 
 }  // namespace repro::stencil

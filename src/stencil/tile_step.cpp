@@ -68,14 +68,14 @@ void apply_refresh(const GhostRefresh& refresh, double* ext, const TileGeom& g,
                    int radius, int nfield) {
   for (Side s : kAllSides) {
     const auto i = static_cast<int>(s);
-    if (refresh.line[i] != nullptr) {
+    if (refresh.line[i].data != nullptr) {
       copy_local_line_planes(ext, g, s, refresh.line[i], refresh.line_geom[i],
                              radius, nfield);
     }
   }
   for (Corner c : kAllCorners) {
     const auto i = static_cast<int>(c);
-    if (refresh.corner[i] != nullptr) {
+    if (refresh.corner[i].data != nullptr) {
       copy_local_corner_planes(ext, g, c, refresh.corner[i],
                                refresh.corner_geom[i], nfield);
     }
@@ -98,12 +98,14 @@ void apply_refresh(const GhostRefresh& refresh, double* ext, const TileGeom& g,
 /// `side`. A corner's cells lie beyond both edges that meet there.
 bool beyond(const GhostRefresh& refresh, Side side) {
   const auto i = static_cast<int>(side);
-  if (refresh.line[i] != nullptr || !refresh.band[i].empty()) return true;
+  if (refresh.line[i].data != nullptr || !refresh.band[i].empty()) {
+    return true;
+  }
   for (Corner c : kAllCorners) {
     const auto j = static_cast<int>(c);
     const bool adjacent = d_ti(c) == d_ti(side) || d_tj(c) == d_tj(side);
     if (adjacent &&
-        (refresh.corner[j] != nullptr || !refresh.block[j].empty())) {
+        (refresh.corner[j].data != nullptr || !refresh.block[j].empty())) {
       return true;
     }
   }

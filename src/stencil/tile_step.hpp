@@ -25,11 +25,13 @@ namespace repro::stencil {
 /// inner rectangle straight from the previous state: the crossover of
 /// bench_micro_kernels' BM_RefreshStep, the smallest extent at which the
 /// split step is no slower than assembly with either kernel (DESIGN.md §6
-/// item 8).
+/// item 8). The same tiles give their same-node readers packed edge lines
+/// instead of their state, which is also where that stops costing time.
 inline constexpr int kInnerSweepMinExtent = 96;
 
-/// Whether a tile of geometry g sweeps its inner rectangle from the previous
-/// state: the tile geometry alone decides.
+/// Whether a tile of geometry g is large: it sweeps its inner rectangle from
+/// the previous state and packs edge lines for its same-node readers. The
+/// tile geometry alone decides.
 constexpr bool sweeps_inner(const TileGeom& g) {
   return g.h >= kInnerSweepMinExtent && g.w >= kInnerSweepMinExtent;
 }
@@ -48,13 +50,13 @@ struct Rect {
 /// order, later writes winning where they overlap: same-node lines,
 /// same-node diagonal corners, then received deep bands and corner blocks.
 struct GhostRefresh {
-  /// Same-node neighbour states: radius-deep lines over the full extended
-  /// extent (copy_local_line_planes).
-  const double* line[4] = {};
+  /// Same-node neighbours: radius-deep lines over the full extended extent
+  /// (copy_local_line_planes), read from the neighbour's state or its
+  /// packed edge lines.
+  CellView line[4];
   TileGeom line_geom[4];
-  /// Same-node diagonal states: ghost corner blocks
-  /// (copy_local_corner_planes).
-  const double* corner[4] = {};
+  /// Same-node diagonals: ghost corner blocks (copy_local_corner_planes).
+  CellView corner[4];
   TileGeom corner_geom[4];
   /// Received bands and corner blocks, `depth` deep (unpack_*_planes).
   std::span<const double> band[4];

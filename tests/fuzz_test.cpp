@@ -273,6 +273,7 @@ TEST(FuzzSpecStencil, RandomSpecsMatchSerial) {
   const int rounds = env ? std::atoi(env) : 10;
   int accepted = 0;
   int large_accepted = 0;
+  int large_diagonal = 0;  // large rounds whose spec has diagonal taps
   for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(rounds);
        ++seed) {
     Rng rng(0x5BEC0000 + seed);
@@ -284,13 +285,16 @@ TEST(FuzzSpecStencil, RandomSpecsMatchSerial) {
     int mb = 3 + static_cast<int>(rng.next_below(6));
     int nb = 3 + static_cast<int>(rng.next_below(6));
     // Every third seed, the first included, runs tiles past
-    // kInnerSweepMinExtent.
+    // kInnerSweepMinExtent: three tile rows and columns, the last ones
+    // ragged and below it, so the first node holds a 2x2 block of large
+    // tiles (same-node lines and diagonals read from packed edge lines)
+    // and large and small tiles are same-node neighbours.
     const bool large = seed % 3 == 1;
     if (large) {
       mb = stencil::kInnerSweepMinExtent + static_cast<int>(rng.next_below(16));
       nb = stencil::kInnerSweepMinExtent + static_cast<int>(rng.next_below(16));
-      rows = mb + static_cast<int>(rng.next_below(mb));
-      cols = nb + static_cast<int>(rng.next_below(nb));
+      rows = 2 * mb + 9 + static_cast<int>(rng.next_below(mb - 9));
+      cols = 2 * nb + 9 + static_cast<int>(rng.next_below(nb - 9));
     }
     const int tiles_r = (rows + mb - 1) / mb;
     const int tiles_c = (cols + nb - 1) / nb;
@@ -342,9 +346,12 @@ TEST(FuzzSpecStencil, RandomSpecsMatchSerial) {
         stencil::solve_serial_spec(problem), result));
     ++accepted;
     large_accepted += large;
+    large_diagonal += large && spec::compile_spec(sp, nz).diagonal_taps;
   }
   EXPECT_GT(accepted, 0);
   EXPECT_GT(large_accepted, 0);
+  // random_spec draws diagonal taps often; seed 1 has them.
+  EXPECT_GT(large_diagonal, 0);
 }
 
 TEST(FuzzRuntime, RandomDagsWithRandomPlacementComputeCorrectly) {

@@ -160,6 +160,35 @@ TEST(DistStencil, TilesOnBothSidesOfTheInnerSweepRuleMatchSerial) {
           solve_serial_spec(problem), run_distributed(problem, config)));
     }
   }
+
+  // Large tiles give their same-node readers packed edge lines; small ones
+  // are read in place. Tiles of 100 with a last tile row of 48 and a last
+  // column of 40 on 2x2 nodes: the node owning the last two tile rows and
+  // columns pairs large and small same-node neighbours across rows, across
+  // columns and diagonally, so large tiles read small ones' states and small
+  // tiles read large ones' lines, while another node holds only large
+  // tiles. Base star5, box9 at steps 1 (same-node diagonal corners every
+  // step), classic CA (local lines every step, bands at superstep starts),
+  // box9 CA and heat3d.
+  const int above = kInnerSweepMinExtent + 4;
+  const Mode ragged_modes[] = {
+      {"base", spec::StencilSpec::star5(), 1, false, 1, 1, false},
+      {"box9", spec::StencilSpec::box9(), 1, false, 1, 1, false},
+      {"ca", spec::StencilSpec::star5(), 1, false, 3, 1, false},
+      {"box9 ca", spec::StencilSpec::box9(), 1, false, 2, 1, false},
+      {"heat3d", spec::StencilSpec::heat3d(), 3, false, 1, 1, false},
+  };
+  for (const Mode& mode : ragged_modes) {
+    SCOPED_TRACE(std::string("ragged ") + mode.name);
+    DistConfig config;
+    config.decomp = {above, above, 2, 2};
+    config.steps = mode.steps;
+    config.workers_per_rank = 2;
+    const Problem problem = spec_problem(mode.spec, 3 * above + 48,
+                                         3 * above + 40, 7, mode.nz, 41);
+    EXPECT_TRUE(test_support::planes_match(solve_serial_spec(problem),
+                                           run_distributed(problem, config)));
+  }
 }
 
 TEST(DistStencil, PersistentSteadyStateAllocatesNothing) {
@@ -720,6 +749,39 @@ TEST(DistStencil, StateBuffersComeFromRankPools) {
             0.0);
   EXPECT_GE(fused_subgraph.state_buffer_allocs(), 36);
   EXPECT_LE(fused_subgraph.state_buffer_allocs(), 36 + 4 * 8);
+
+  // Base steps of tiles above the rule, 2x2 nodes of 2x2 tiles: a large
+  // tile's same-node neighbours read its packed edge lines, so each state
+  // has one reader, the tile's next step, and goes back to the pool when
+  // that step completes. With one worker a rank then holds one state per
+  // tile plus the running step's output: at most one miss per tile plus one
+  // per rank (20; states read in place by two same-node neighbours missed
+  // 32 times here). A second worker can start a step while the first still
+  // completes its own, whose input and output stay referenced until its
+  // fan-out ends, so each worker may hold two buffers past its tiles' (32;
+  // 24-26 measured, 33-38 with states read in place).
+  const int large = kInnerSweepMinExtent;
+  const Problem big = random_problem(4 * large, 4 * large, 10, 11);
+  const Grid2D big_expected = solve_serial(big);
+  DistConfig base;
+  base.decomp = {large, large, 2, 2};
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    rt::TaskGraph big_graph;
+    const SolveSubgraph big_subgraph =
+        add_solve_subgraph(big_graph, big, base);
+    rt::Config big_config;
+    big_config.nranks = big_subgraph.nodes();
+    big_config.workers_per_rank = workers;
+    rt::Runtime big_runtime(big_config);
+    big_runtime.run(big_graph);
+    EXPECT_EQ(Grid2D::max_abs_diff(big_subgraph.gather(big_runtime),
+                                   big_expected),
+              0.0);
+    EXPECT_GE(big_subgraph.state_buffer_allocs(), 16);
+    EXPECT_LE(big_subgraph.state_buffer_allocs(),
+              16 + 4 * (workers == 1 ? 1 : 2 * workers));
+  }
 }
 
 TEST(DistStencil, ValidatesConfiguration) {

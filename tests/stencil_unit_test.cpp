@@ -333,7 +333,7 @@ TEST(Halo, LocalLineCopySpansExtendedExtent) {
     for (int j = -1; j < w + 1; ++j) nbr[g.idx(i, j)] = i * 100.0 + j;
   }
   std::vector<double> mine(g.size(), -7.0);
-  copy_local_line(mine.data(), g, Side::West, nbr.data(), g);
+  copy_local_line(mine.data(), g, Side::West, CellView(nbr.data(), g), g);
   for (int i = -s; i < h + 1; ++i) {
     EXPECT_DOUBLE_EQ(mine[g.idx(i, -1)], i * 100.0 + (w - 1));
   }
@@ -348,7 +348,7 @@ TEST(Halo, LocalLineNorthCopiesFullRowIncludingGhostCols) {
     for (int j = -2; j < w + 1; ++j) nbr[g.idx(i, j)] = i * 100.0 + j;
   }
   std::vector<double> mine(g.size(), -7.0);
-  copy_local_line(mine.data(), g, Side::North, nbr.data(), g);
+  copy_local_line(mine.data(), g, Side::North, CellView(nbr.data(), g), g);
   for (int j = -2; j < w + 1; ++j) {
     EXPECT_DOUBLE_EQ(mine[g.idx(-1, j)], (h - 1) * 100.0 + j);
   }
@@ -367,7 +367,8 @@ TEST(Halo, ValidatesGeometry) {
   const TileGeom misaligned{4, 4, 2, 1, 1, 1};
   std::vector<double> nbr(misaligned.size(), 0.0);
   EXPECT_THROW(
-      copy_local_line(buf.data(), g, Side::West, nbr.data(), misaligned),
+      copy_local_line(buf.data(), g, Side::West,
+                      CellView(nbr.data(), misaligned), misaligned),
       std::invalid_argument);
 }
 
@@ -379,7 +380,7 @@ TEST(Halo, LocalLineDepthTwoCopiesBothColumns) {
     for (int j = -r; j < w + r; ++j) nbr[g.idx(i, j)] = i * 100.0 + j;
   }
   std::vector<double> mine(g.size(), -7.0);
-  copy_local_line(mine.data(), g, Side::West, nbr.data(), g, r);
+  copy_local_line(mine.data(), g, Side::West, CellView(nbr.data(), g), g, r);
   for (int i = -r; i < h + r; ++i) {
     for (int d = 1; d <= r; ++d) {
       // Our col -d = neighbor col w-d.
@@ -388,7 +389,8 @@ TEST(Halo, LocalLineDepthTwoCopiesBothColumns) {
   }
   EXPECT_DOUBLE_EQ(mine[g.idx(0, 0)], -7.0);
   // Depth mismatch rejected.
-  EXPECT_THROW(copy_local_line(mine.data(), g, Side::West, nbr.data(), g, 1),
+  EXPECT_THROW(copy_local_line(mine.data(), g, Side::West,
+                               CellView(nbr.data(), g), g, 1),
                std::invalid_argument);
 }
 
@@ -400,7 +402,7 @@ TEST(Halo, LocalCornerCopiesDiagonalCore) {
     for (int j = 0; j < w; ++j) diag[g.idx(i, j)] = i * 10.0 + j;
   }
   std::vector<double> mine(g.size(), -7.0);
-  copy_local_corner(mine.data(), g, Corner::NW, diag.data(), g);
+  copy_local_corner(mine.data(), g, Corner::NW, CellView(diag.data(), g), g);
   for (int a = 1; a <= r; ++a) {
     for (int b = 1; b <= r; ++b) {
       // Our (-a,-b) = diag core (h-a, w-b).
