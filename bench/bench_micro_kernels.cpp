@@ -14,6 +14,7 @@
 //   * building, sealing and freeing the latency-bound solve's task graph
 #include <benchmark/benchmark.h>
 
+#include <malloc.h>
 #include <sys/resource.h>
 
 #include <chrono>
@@ -436,6 +437,15 @@ double minor_faults() {
   return static_cast<double>(usage.ru_minflt);
 }
 
+/// Heap bytes this process has in use: glibc's mallinfo2, arena blocks
+/// (uordblks) plus blocks mapped on their own (hblkhd), so the count does not
+/// depend on where the mmap threshold stands. The graph benchmarks report a
+/// phase's growth per task, read outside the timed regions.
+double heap_bytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd);
+}
+
 void BM_FuseSupersteps(benchmark::State& state) {
   // The graph rewrite alone at the fused CA solve's shape (N=768, tile 32,
   // 2x2 nodes, steps 4, fuse 2, persistent routes): 58,176 -> 8,064 tasks.
@@ -451,9 +461,13 @@ void BM_FuseSupersteps(benchmark::State& state) {
   rt::FuseReport report;
   double pass_s = 0.0;
   double faults = 0.0;
+  double build_bytes = 0.0;
+  double fuse_bytes = 0.0;
   for (auto _ : state) {
     graph = rt::TaskGraph();
+    const double heap0 = heap_bytes();
     const int window = add_solve_subgraph(graph, problem, config).fuse_window();
+    const double heap_built = heap_bytes();
     const double faults0 = minor_faults();
     const auto start = std::chrono::steady_clock::now();
     report = rt::fuse_supersteps(graph, window);
@@ -461,15 +475,18 @@ void BM_FuseSupersteps(benchmark::State& state) {
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     faults += minor_faults() - faults0;
+    build_bytes += heap_built - heap0;
+    fuse_bytes += heap_bytes() - heap_built;
     state.SetIterationTime(elapsed.count());
     pass_s += elapsed.count();
   }
+  const double per_task = 1.0 / (static_cast<double>(report.tasks_before) *
+                                 static_cast<double>(state.iterations()));
   state.counters["tasks_in"] = static_cast<double>(report.tasks_before);
   state.counters["tasks_out"] = static_cast<double>(report.tasks_after);
-  state.counters["ns/task"] =
-      pass_s * 1e9 /
-      (static_cast<double>(report.tasks_before) *
-       static_cast<double>(state.iterations()));
+  state.counters["ns/task"] = pass_s * 1e9 * per_task;
+  state.counters["build B/task"] = build_bytes * per_task;
+  state.counters["fuse B/task"] = fuse_bytes * per_task;
   state.counters["minor faults/iter"] =
       faults / static_cast<double>(state.iterations());
 }
@@ -479,7 +496,8 @@ void BM_BuildSealGraph(benchmark::State& state) {
   // The task-graph cost of the latency-bound solve (N=768, tile 32, 2x2
   // nodes, 100 iterations, base): 58,176 tasks built by add_solve_subgraph,
   // sealed, then freed. The three phases are timed and reported separately,
-  // in ns per task; the iteration time is their sum.
+  // in ns per task; the iteration time is their sum. The heap bytes build
+  // and seal each leave allocated are reported per task too.
   using Clock = std::chrono::steady_clock;
   const Problem problem = random_problem(768, 768, 100, 1);
   DistConfig config;
@@ -488,34 +506,45 @@ void BM_BuildSealGraph(benchmark::State& state) {
   double seal_s = 0.0;
   double destroy_s = 0.0;
   double faults = 0.0;
+  double build_bytes = 0.0;
+  double seal_bytes = 0.0;
   std::size_t tasks = 0;
   for (auto _ : state) {
     auto graph = std::make_unique<rt::TaskGraph>();
+    const double heap0 = heap_bytes();
     const double faults0 = minor_faults();
     const auto start = Clock::now();
     const SolveSubgraph subgraph = add_solve_subgraph(*graph, problem, config);
     const auto built = Clock::now();
+    const double heap_built = heap_bytes();
+    const auto seal_start = Clock::now();
     graph->seal(subgraph.nodes());
     const auto sealed = Clock::now();
+    const double heap_sealed = heap_bytes();
+    const auto destroy_start = Clock::now();
     tasks = graph->size();
     benchmark::DoNotOptimize(graph->consumers(0).data());
     graph.reset();
     const auto destroyed = Clock::now();
     faults += minor_faults() - faults0;
+    build_bytes += heap_built - heap0;
+    seal_bytes += heap_sealed - heap_built;
     const std::chrono::duration<double> build = built - start;
-    const std::chrono::duration<double> seal = sealed - built;
-    const std::chrono::duration<double> destroy = destroyed - sealed;
+    const std::chrono::duration<double> seal = sealed - seal_start;
+    const std::chrono::duration<double> destroy = destroyed - destroy_start;
     build_s += build.count();
     seal_s += seal.count();
     destroy_s += destroy.count();
     state.SetIterationTime(build.count() + seal.count() + destroy.count());
   }
-  const double per_task = 1e9 / (static_cast<double>(tasks) *
+  const double per_task = 1.0 / (static_cast<double>(tasks) *
                                  static_cast<double>(state.iterations()));
   state.counters["tasks"] = static_cast<double>(tasks);
-  state.counters["build ns/task"] = build_s * per_task;
-  state.counters["seal ns/task"] = seal_s * per_task;
-  state.counters["destroy ns/task"] = destroy_s * per_task;
+  state.counters["build ns/task"] = build_s * 1e9 * per_task;
+  state.counters["seal ns/task"] = seal_s * 1e9 * per_task;
+  state.counters["destroy ns/task"] = destroy_s * 1e9 * per_task;
+  state.counters["build B/task"] = build_bytes * per_task;
+  state.counters["seal B/task"] = seal_bytes * per_task;
   state.counters["minor faults/iter"] =
       faults / static_cast<double>(state.iterations());
 }

@@ -16,31 +16,48 @@ void TaskGraph::add_task(TaskSpec spec) {
   if (specs_.size() >= kNoTask) {
     throw std::runtime_error("TaskGraph: too many tasks");
   }
-  if (2 * (specs_.size() + 1) > index_.size()) grow_index();
+  if (2 * (specs_.size() + 1) > index_.size()) {
+    rehash(index_.empty() ? std::size_t{16} : 2 * index_.size());
+  }
   const std::size_t pos = probe(spec.key);
   if (index_[pos] != kNoTask) {
     throw std::invalid_argument("TaskGraph: duplicate task " +
                                 spec.key.to_string());
   }
+  keys_.push_back(spec.key);
+  flows_ += spec.inputs.size();
   specs_.push_back(std::move(spec));
   index_[pos] = static_cast<std::uint32_t>(specs_.size() - 1);
+}
+
+void TaskGraph::reserve(std::size_t tasks) {
+  if (sealed_) throw std::logic_error("TaskGraph: reserve after seal");
+  const auto grow = [tasks](auto& array) {
+    if (tasks > array.capacity()) {
+      array.reserve(std::max(tasks, 2 * array.capacity()));
+    }
+  };
+  grow(specs_);
+  grow(keys_);
+  std::size_t positions = index_.empty() ? std::size_t{16} : index_.size();
+  while (positions < 2 * tasks) positions *= 2;
+  if (positions > index_.size()) rehash(positions);
 }
 
 std::size_t TaskGraph::probe(const TaskKey& key) const {
   const std::size_t mask = index_.size() - 1;
   std::size_t pos = TaskKeyHash{}(key) & mask;
-  while (index_[pos] != kNoTask && !(specs_[index_[pos]].key == key)) {
+  while (index_[pos] != kNoTask && !(keys_[index_[pos]] == key)) {
     pos = (pos + 1) & mask;
   }
   return pos;
 }
 
-void TaskGraph::grow_index() {
-  std::vector<std::uint32_t> grown(
-      index_.empty() ? std::size_t{16} : 2 * index_.size(), kNoTask);
+void TaskGraph::rehash(std::size_t positions) {
+  std::vector<std::uint32_t> grown(positions, kNoTask);
   const std::size_t mask = grown.size() - 1;
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    std::size_t pos = TaskKeyHash{}(specs_[i].key) & mask;
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    std::size_t pos = TaskKeyHash{}(keys_[i]) & mask;
     while (grown[pos] != kNoTask) pos = (pos + 1) & mask;
     grown[pos] = static_cast<std::uint32_t>(i);
   }
@@ -50,10 +67,14 @@ void TaskGraph::grow_index() {
 void TaskGraph::seal(int nranks) {
   if (sealed_) throw std::logic_error("TaskGraph: seal twice");
   const std::size_t n = specs_.size();
+  if (flows_ > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::runtime_error("TaskGraph: too many input flows");
+  }
 
   // Resolve every flow with one probe, in (consumer, input position) order,
   // into a flat producer array, counting each producer's fan-out.
   std::vector<std::uint32_t> producer;
+  producer.reserve(flows_);
   std::vector<std::uint32_t> indegree(n);
   edge_begin_.assign(n + 1, 0);
   max_rank_ = -1;
@@ -82,25 +103,19 @@ void TaskGraph::seal(int nranks) {
     }
   }
 
-  if (producer.size() > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::runtime_error("TaskGraph: too many input flows");
-  }
-
   // Consumer edges as CSR, filled in the same (consumer, input position)
   // order, so each producer's edges come out exactly as consumers() has
   // always listed them.
   for (std::size_t i = 0; i < n; ++i) edge_begin_[i + 1] += edge_begin_[i];
   std::vector<std::uint32_t> cursor(edge_begin_.begin(), edge_begin_.end() - 1);
-  edges_.resize(producer.size());
+  edges_ = std::make_unique_for_overwrite<ConsumerEdge[]>(producer.size());
   std::size_t flow_index = 0;
   for (std::size_t ci = 0; ci < n; ++ci) {
     const auto& inputs = specs_[ci].inputs;
     for (std::size_t pos = 0; pos < inputs.size(); ++pos) {
-      const FlowRef& flow = inputs[pos];
-      edges_[cursor[producer[flow_index++]]++] = ConsumerEdge{
-          flow.slot, static_cast<std::uint32_t>(ci),
-          static_cast<std::uint16_t>(pos), flow.route, flow.route_doubles,
-          flow.route_fragments};
+      edges_[cursor[producer[flow_index++]]++] =
+          ConsumerEdge{static_cast<std::uint32_t>(ci), inputs[pos].slot,
+                       static_cast<std::uint16_t>(pos)};
     }
   }
 
@@ -149,6 +164,8 @@ bool TaskGraph::contains(const TaskKey& key) const {
 std::vector<TaskSpec> TaskGraph::take_specs() {
   if (sealed_) throw std::logic_error("TaskGraph: take_specs after seal");
   index_.assign(index_.size(), kNoTask);
+  keys_.clear();
+  flows_ = 0;
   std::vector<TaskSpec> specs;
   specs.swap(specs_);
   return specs;

@@ -30,14 +30,18 @@ class TaskContext;
 /// builder that unfolds the graph assigns route ids (unique per graph) and
 /// the exact instance size; the runtime collects them into the negotiation
 /// table. Routes are ignored — byte-identical default path — unless the
-/// run's channel stack contains a PersistentChannel.
+/// run's channel stack contains a PersistentChannel. The consumer's FlowRef
+/// is the only copy of a route: the runtime reads it through
+/// TaskGraph::flow(edge).
 struct FlowRef {
   TaskKey producer;
   std::uint16_t slot = 0;
-  std::uint64_t route = 0;          ///< nonzero: persistent route id
-  std::uint32_t route_doubles = 0;  ///< payload doubles of one instance
   std::uint16_t route_fragments = 1;  ///< partitions per instance
+  std::uint32_t route_doubles = 0;    ///< payload doubles of one instance
+  std::uint64_t route = 0;            ///< nonzero: persistent route id
 };
+// Largest field last: no padding (40 bytes with the route id after `slot`).
+static_assert(sizeof(FlowRef) == 32);
 
 using TaskBody = std::function<void(TaskContext&)>;
 
@@ -66,14 +70,22 @@ struct TaskSpec {
 /// Immutable-after-seal collection of TaskSpecs plus derived consumer lists.
 ///
 /// Storage is flat: keys are indexed by an open-addressing table of task
-/// indices (no node per task), and seal() lays every consumer edge out in
-/// one array, grouped by producer (CSR), so the graph's own bookkeeping
-/// costs a few allocations per graph rather than several per task.
+/// indices (no node per task) and compared through a compact key array
+/// beside the specs, and seal() lays every consumer edge out in one array,
+/// grouped by producer (CSR), so the graph's own bookkeeping costs a few
+/// allocations per graph rather than several per task.
 class TaskGraph {
  public:
   /// Add a task. Input flows may reference tasks added later; everything is
   /// resolved at seal(). Duplicate keys are rejected immediately.
   void add_task(TaskSpec spec);
+
+  /// Make room for `tasks` tasks in all (like std::vector::reserve), so
+  /// add_task regrows neither the specs nor the key index until the graph
+  /// holds that many. Capacity grows at least twofold, so builders that each
+  /// reserve their own count on top of size() add up without regrowing
+  /// quadratically. Throws std::logic_error once sealed.
+  void reserve(std::size_t tasks);
 
   /// Resolve flows, compute consumer lists, and freeze the graph.
   /// Throws std::runtime_error on dangling flow references or rank < 0.
@@ -111,22 +123,29 @@ class TaskGraph {
     retained_.push_back(std::move(context));
   }
 
-  /// A consumer edge attached to a producer's output slot.
+  /// A consumer edge attached to a producer's output slot: 8 bytes (32 when
+  /// it carried a copy of the flow's route annotation). Read the route
+  /// through flow().
   struct ConsumerEdge {
-    std::uint16_t slot = 0;        ///< producer output slot
-    std::uint32_t consumer = 0;    ///< consumer task index
-    std::uint16_t input_pos = 0;   ///< position in the consumer's inputs
-    std::uint64_t route = 0;       ///< persistent route id (0 = none),
-                                   ///< copied from the consumer's FlowRef
-    std::uint32_t route_doubles = 0;    ///< instance size in doubles
-    std::uint16_t route_fragments = 1;  ///< partitions per instance
+    std::uint32_t consumer;   ///< consumer task index
+    std::uint16_t slot;       ///< producer output slot
+    std::uint16_t input_pos;  ///< position in the consumer's inputs
   };
+  static_assert(sizeof(ConsumerEdge) == 8);
 
   /// After seal(): consumers of task `index`, in (consumer index, input
   /// position) order, grouped by nothing (iterate linearly).
   std::span<const ConsumerEdge> consumers(std::size_t index) const {
-    return {edges_.data() + edge_begin_[index],
-            edges_.data() + edge_begin_[index + 1]};
+    return {edges_.get() + edge_begin_[index],
+            edges_.get() + edge_begin_[index + 1]};
+  }
+
+  /// The consumer's input flow behind `edge`, which holds the edge's
+  /// persistent-route annotation. The runtime reads routes only here: route
+  /// negotiation, acquire_route_buffer after its slot test, and
+  /// publish_eager.
+  const FlowRef& flow(const ConsumerEdge& edge) const {
+    return specs_[edge.consumer].inputs[edge.input_pos];
   }
 
   /// Number of consumer edges attached to (task, slot).
@@ -138,20 +157,25 @@ class TaskGraph {
   /// Table position holding `key`'s task index, or the free position where
   /// it would go. Requires a non-empty table.
   std::size_t probe(const TaskKey& key) const;
-  /// Double the key index (16 positions at first) and reinsert every task.
-  void grow_index();
+  /// Rebuild the key index with `positions` (a power of two) positions.
+  void rehash(std::size_t positions);
 
   /// Declared first, so it outlives the bodies that point into it.
   std::vector<std::shared_ptr<const void>> retained_;
   std::vector<TaskSpec> specs_;
+  /// specs_[i].key, packed: probes compare 16-byte keys, not 136-byte specs.
+  std::vector<TaskKey> keys_;
+  /// Input flows over all specs, so seal() sizes its arrays up front.
+  std::size_t flows_ = 0;
   /// Key index: task indices (kNoTask = free) in a power-of-two table,
-  /// linear probing from TaskKeyHash, keys compared through specs_. Kept at
+  /// linear probing from TaskKeyHash, keys compared through keys_. Kept at
   /// most half full.
   std::vector<std::uint32_t> index_;
   /// Sealed consumer edges (CSR): task i's are edges_[edge_begin_[i],
-  /// edge_begin_[i + 1]).
+  /// edge_begin_[i + 1]). Allocated without zero-filling; seal() writes
+  /// every edge once.
   std::vector<std::uint32_t> edge_begin_;
-  std::vector<ConsumerEdge> edges_;
+  std::unique_ptr<ConsumerEdge[]> edges_;
   int max_rank_ = -1;
   bool sealed_ = false;
 };

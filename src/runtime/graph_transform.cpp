@@ -531,6 +531,8 @@ FuseReport fuse_supersteps(TaskGraph& graph, int k) {
   // survives unfused moves on into the rebuilt graph.
   graph.retain(plan);
   plan->specs = graph.take_specs();
+  // Exactly the tasks added below: each window's members become one task.
+  graph.reserve(n - plan->members.size() + nwindows);
   for (std::uint32_t i = 0; i < n; ++i) {
     if (rep[i] != i) continue;  // absorbed into its window's last member
     const std::uint32_t w = window_of[i];

@@ -75,10 +75,12 @@ class RuntimeTaskContext final : public TaskContext {
   std::shared_ptr<std::vector<double>> acquire_route_buffer(
       std::uint16_t slot) override {
     if (runtime_.pchan_ == nullptr) return nullptr;
-    for (const auto& edge : runtime_.graph_->consumers(task_index_)) {
-      if (edge.slot == slot && edge.route != 0 &&
-          runtime_.pchan_->route_spec(edge.route) != nullptr) {
-        return runtime_.pchan_->acquire(edge.route);
+    const TaskGraph& graph = *runtime_.graph_;
+    for (const auto& edge : graph.consumers(task_index_)) {
+      if (edge.slot != slot) continue;
+      const std::uint64_t route = graph.flow(edge).route;
+      if (route != 0 && runtime_.pchan_->route_spec(route) != nullptr) {
+        return runtime_.pchan_->acquire(route);
       }
     }
     return nullptr;
@@ -673,12 +675,13 @@ void Runtime::negotiate_routes(const TaskGraph& graph) {
   for (std::size_t pi = 0; pi < graph.size(); ++pi) {
     const int src = graph.spec(pi).rank;
     for (const auto& edge : graph.consumers(pi)) {
-      if (edge.route == 0) continue;
+      const FlowRef& flow = graph.flow(edge);
+      if (flow.route == 0) continue;
       const int dst = graph.spec(edge.consumer).rank;
       if (dst == src) continue;  // local: no wire
       flows.push_back({edge.consumer, edge.input_pos,
-                       net::RouteSpec{edge.route, src, dst, edge.route_doubles,
-                                      edge.route_fragments}});
+                       net::RouteSpec{flow.route, src, dst, flow.route_doubles,
+                                      flow.route_fragments}});
     }
   }
   std::sort(flows.begin(), flows.end(),
@@ -719,12 +722,13 @@ void Runtime::publish_eager(std::size_t index, std::uint16_t slot,
   for (const auto& edge : graph_->consumers(index)) {
     if (edge.slot != slot) continue;
     const TaskSpec& consumer = graph_->spec(edge.consumer);
+    const FlowRef& flow = graph_->flow(edge);
     if (consumer.rank == rank) {
       // Local consumers share the pointer and wake immediately — a body-time
       // release instead of a complete_task-time one.
       deliver_input(edge.consumer, edge.input_pos, view);
-    } else if (pchan_ != nullptr && edge.route != 0 &&
-               pchan_->route_spec(edge.route) != nullptr) {
+    } else if (pchan_ != nullptr && flow.route != 0 &&
+               pchan_->route_spec(flow.route) != nullptr) {
       // Partitioned send out of the registered buffer: each fragment is a
       // shared view, posted the moment the producer marks the slot ready.
       const std::vector<std::uint64_t> rt_header = {
@@ -737,9 +741,9 @@ void Runtime::publish_eager(std::size_t index, std::uint16_t slot,
           static_cast<std::uint64_t>(
               static_cast<std::uint32_t>(consumer.key.c)),
           edge.input_pos};
-      for (std::uint32_t f = 0; f < edge.route_fragments; ++f) {
+      for (std::uint32_t f = 0; f < flow.route_fragments; ++f) {
         net::Message msg =
-            pchan_->make_fragment(edge.route, f, data, rt_header);
+            pchan_->make_fragment(flow.route, f, data, rt_header);
         msg.tag = consumer.key.pack();
         post_message(rank, std::move(msg));
       }

@@ -299,6 +299,11 @@ struct Shared {
   }
   /// Whether iteration k opens a superstep (receives bands and corners).
   bool superstep_start(int k) const { return (k - 1) % steps == 0; }
+  /// Whether the task publishing state k sends bands and corners: at every
+  /// superstep end that has a next iteration.
+  bool exchanges(int k) const {
+    return k < problem.iterations && k % steps == 0;
+  }
   KernelVariant kernel = KernelVariant::Scalar;
   KernelTuning tuning{};
   /// Per-step graph emitted in fuse-ready shape (fuse_depth > 1): deep
@@ -378,8 +383,8 @@ void write_back(Shared& shared, const TileInfo& info, const double* ext) {
 }
 
 /// What a task publishes besides its state. pack_plan decides it from the
-/// task's key alone, so the builder (for priorities) and the body agree by
-/// construction.
+/// task's key alone; the builder prices each tile from its exchanging plan
+/// and Shared::exchanges, so builder and body agree by construction.
 struct PackPlan {
   bool bands[4] = {};
   bool corners[4] = {};
@@ -403,7 +408,7 @@ PackPlan pack_plan(const Shared& shared, const TileInfo& info, int k) {
   PackPlan plan;
   if (k >= shared.problem.iterations) return plan;
   plan.lines = info.edge_lines;
-  if (k % shared.steps != 0) return plan;
+  if (!shared.exchanges(k)) return plan;
   for (Side s : kAllSides) {
     plan.bands[static_cast<int>(s)] = info.side_deep[static_cast<int>(s)];
   }
@@ -656,11 +661,23 @@ class Builder {
     graph.retain(shared_);
     const TileMap& map = shared_->map;
     const int iters = shared_->problem.iterations;
+    graph.reserve(graph.size() + static_cast<std::size_t>(map.tiles_r()) *
+                                     map.tiles_c() * (iters + 1));
     for (int ti = 0; ti < map.tiles_r(); ++ti) {
       for (int tj = 0; tj < map.tiles_c(); ++tj) {
-        graph.add_task(make_init_task(tile(ti, tj)));
+        const TileInfo& info = tile(ti, tj);
+        // A task's priority is task_priority of its pack plan, whose bands
+        // and corners depend on k only through Shared::exchanges: INIT's
+        // plan (empty at zero iterations) prices every exchanging step.
+        const int exchange =
+            task_priority(info.boundary, pack_plan(*shared_, info, 0)) +
+            priority_bias_;
+        const int plain =
+            task_priority(info.boundary, PackPlan{}) + priority_bias_;
+        graph.add_task(make_init_task(info, exchange));
         for (int k = 1; k <= iters; ++k) {
-          graph.add_task(make_step_task(tile(ti, tj), k));
+          graph.add_task(make_step_task(
+              info, k, shared_->exchanges(k) ? exchange : plain));
         }
       }
     }
@@ -721,27 +738,25 @@ class Builder {
     flow.route_fragments = static_cast<std::uint16_t>(shared_->program.nfield);
   }
 
-  rt::TaskSpec make_init_task(const TileInfo& info) {
+  rt::TaskSpec make_init_task(const TileInfo& info, int priority) {
     rt::TaskSpec spec;
     spec.key = init_key(info.ti, info.tj);
     spec.rank = info.rank;
     spec.lane = lane_;
     spec.klass = "init";
-    spec.priority = task_priority(info.boundary, pack_plan(*shared_, info, 0)) +
-                    priority_bias_;
+    spec.priority = priority;
     spec.body = [shared = shared_.get()](rt::TaskContext& ctx) {
       run_init(*shared, ctx);
     };
     return spec;
   }
 
-  rt::TaskSpec make_step_task(const TileInfo& info, int k) {
+  rt::TaskSpec make_step_task(const TileInfo& info, int k, int priority) {
     rt::TaskSpec spec;
     spec.key = step_key(k, info.ti, info.tj);
     spec.rank = info.rank;
     spec.lane = lane_;
-    spec.priority = task_priority(info.boundary, pack_plan(*shared_, info, k)) +
-                    priority_bias_;
+    spec.priority = priority;
     spec.klass = info.boundary ? "boundary" : "interior";
     // Dependence-cone metadata: each tile's STEP tasks form one totally
     // ordered chain (k is the position), which is exactly what

@@ -25,6 +25,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -39,6 +40,7 @@
 #include "spec/stencil_spec.hpp"
 #include "stencil/dist_stencil.hpp"
 #include "stencil/serial.hpp"
+#include "stencil/tile_map.hpp"
 #include "support/rng.hpp"
 
 namespace repro {
@@ -889,7 +891,7 @@ std::string graph_fingerprint(const TaskGraph& graph) {
 
 /// FNV-1a over what seal() derives: every task's consumers() sequence, in
 /// order, as (slot, consumer key, input position, route id, route doubles,
-/// route fragments).
+/// route fragments), the route read through TaskGraph::flow().
 std::string consumers_fingerprint(const TaskGraph& graph) {
   Fnv1a fnv;
   fnv.mix(graph.size());
@@ -897,12 +899,13 @@ std::string consumers_fingerprint(const TaskGraph& graph) {
     const auto edges = graph.consumers(i);
     fnv.mix(edges.size());
     for (const TaskGraph::ConsumerEdge& edge : edges) {
+      const rt::FlowRef& flow = graph.flow(edge);
       fnv.mix(edge.slot);
       fnv.mix_key(graph.spec(edge.consumer).key);
       fnv.mix(edge.input_pos);
-      fnv.mix(edge.route);
-      fnv.mix(edge.route_doubles);
-      fnv.mix(edge.route_fragments);
+      fnv.mix(flow.route);
+      fnv.mix(flow.route_doubles);
+      fnv.mix(flow.route_fragments);
     }
   }
   return fnv.hex();
@@ -1059,6 +1062,111 @@ TEST(GraphTransformStencil, SealedConsumerListsArePinned) {
     EXPECT_EQ(it->second, fingerprint);
   }
   EXPECT_EQ(got.size(), pinned.size());
+}
+
+TEST(GraphTransformStencil, EdgeRoutesReadThroughFlowAreTheConsumersFlowRef) {
+  // Persistent stencil graphs, classic, CA and fused: every consumer edge's
+  // flow() is the consumer's own input FlowRef at the edge's position, so
+  // the route annotation has one copy and one reader.
+  const stencil::Problem problem = stencil::random_problem(24, 24, 4, 7);
+  const stencil::Problem box9 =
+      stencil::spec_problem(spec::spec_by_name("box9"), 24, 24, 4, 1, 7);
+  for (const auto& [label, steps, fuse_depth, box] :
+       {std::tuple{"base", 1, 1, false}, std::tuple{"ca", 2, 1, false},
+        std::tuple{"ca/box9", 2, 1, true}, std::tuple{"fused", 1, 2, false}}) {
+    SCOPED_TRACE(label);
+    stencil::DistConfig config;
+    config.decomp = {6, 6, 2, 2};
+    config.steps = steps;
+    config.fuse_depth = fuse_depth;
+    config.persistent = true;
+    TaskGraph graph;
+    const stencil::SolveSubgraph subgraph =
+        stencil::add_solve_subgraph(graph, box ? box9 : problem, config);
+    if (subgraph.fuse_window() > 1) {
+      rt::fuse_supersteps(graph, subgraph.fuse_window());
+    }
+    graph.seal(subgraph.nodes());
+    std::size_t routed = 0;
+    std::size_t edges = 0;
+    for (std::size_t i = 0; i < graph.size(); ++i) {
+      for (const TaskGraph::ConsumerEdge& edge : graph.consumers(i)) {
+        const TaskSpec& consumer = graph.spec(edge.consumer);
+        ASSERT_LT(edge.input_pos, consumer.inputs.size());
+        const rt::FlowRef& flow = graph.flow(edge);
+        ASSERT_EQ(&flow, &consumer.inputs[edge.input_pos]);
+        EXPECT_EQ(flow.producer, graph.spec(i).key);
+        EXPECT_EQ(flow.slot, edge.slot);
+        routed += flow.route != 0;
+        ++edges;
+      }
+    }
+    std::size_t flows = 0;
+    std::size_t annotated = 0;
+    for (std::size_t i = 0; i < graph.size(); ++i) {
+      for (const rt::FlowRef& flow : graph.spec(i).inputs) {
+        ++flows;
+        annotated += flow.route != 0;
+      }
+    }
+    EXPECT_EQ(edges, flows);
+    EXPECT_EQ(routed, annotated);
+    EXPECT_GT(routed, 0u);
+  }
+}
+
+TEST(GraphTransformStencil, BuiltPrioritiesFollowEachTasksPackPlan) {
+  // The builder prices each tile once, yet every task must carry
+  // task_priority of its own pack plan, stated here through the sealed
+  // graph: a task whose bands or corners (slots 1-8) some consumer reads
+  // ranks 2, else a tile with a remote side ranks 1 and an interior tile 0,
+  // all plus the configured bias. 6 x 6 tiles on 2 x 2 nodes have all three.
+  const stencil::Problem classic = stencil::random_problem(24, 24, 5, 7);
+  const stencil::Problem box9 =
+      stencil::spec_problem(spec::spec_by_name("box9"), 24, 24, 5, 1, 7);
+  struct Case {
+    const char* label;
+    const stencil::Problem* problem;
+    int steps;
+    int fuse_depth;
+    int bias;
+  };
+  const Case cases[] = {
+      {"base", &classic, 1, 1, 0},       {"ca", &classic, 2, 1, 0},
+      {"base/box9", &box9, 1, 1, 3},     {"ca/box9", &box9, 2, 1, 0},
+      {"fuse-ready", &classic, 1, 2, 0}, {"fuse-ready/box9", &box9, 2, 2, -2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    stencil::DistConfig config;
+    config.decomp = {4, 4, 2, 2};
+    config.steps = c.steps;
+    config.fuse_depth = c.fuse_depth;
+    config.priority_bias = c.bias;
+    TaskGraph graph;
+    const stencil::SolveSubgraph subgraph =
+        stencil::add_solve_subgraph(graph, *c.problem, config);
+    graph.seal(subgraph.nodes());
+    const stencil::TileMap map(24, 24, 4, 4, 2, 2);
+    std::map<int, int> levels;
+    for (std::size_t i = 0; i < graph.size(); ++i) {
+      const TaskSpec& spec = graph.spec(i);
+      const int ti = spec.key.b;
+      const int tj = spec.key.c;
+      bool packs = false;
+      for (const TaskGraph::ConsumerEdge& edge : graph.consumers(i)) {
+        packs = packs || (edge.slot >= 1 && edge.slot <= 8);
+      }
+      const bool boundary = map.neighbor_remote(ti, tj, -1, 0) ||
+                            map.neighbor_remote(ti, tj, 1, 0) ||
+                            map.neighbor_remote(ti, tj, 0, -1) ||
+                            map.neighbor_remote(ti, tj, 0, 1);
+      const int level = packs ? 2 : boundary ? 1 : 0;
+      ASSERT_EQ(spec.priority, c.bias + level) << spec.key.to_string();
+      ++levels[level];
+    }
+    EXPECT_EQ(levels.size(), 3u);
+  }
 }
 
 /// Channel decorator recording, in send order, the header of every route

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "runtime/runtime.hpp"
 #include "support/rng.hpp"
@@ -273,6 +275,153 @@ TEST(TaskGraph, FindAndAddTaskWorkAfterTakeSpecs) {
   EXPECT_NO_THROW(graph.add_task(bare_task(key(4, 0))));
   EXPECT_EQ(graph.size(), 5001u);
   EXPECT_NO_THROW(graph.seal(1));
+}
+
+/// Stage i of a counting chain: task 0 publishes {0}, every later task adds
+/// one to its predecessor's value.
+TaskSpec chain_task(int i) {
+  TaskSpec spec;
+  spec.key = key(3, i);
+  if (i == 0) {
+    spec.body = [](TaskContext& ctx) { ctx.publish(0, {0.0}); };
+  } else {
+    spec.inputs = {{key(3, i - 1), 0}};
+    spec.body = [](TaskContext& ctx) {
+      ctx.publish(0, {ctx.input(0)[0] + 1.0});
+    };
+  }
+  return spec;
+}
+
+/// Seal `graph` (one rank) and return the error message, or "" on success.
+std::string seal_error(TaskGraph& graph) {
+  try {
+    graph.seal(1);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TaskGraph, ReserveBelowAtAndAboveTheFinalCount) {
+  constexpr int kTasks = 1000;
+  for (const std::size_t reserved :
+       {std::size_t{0}, std::size_t{kTasks / 3}, std::size_t{kTasks},
+        std::size_t{3 * kTasks}}) {
+    SCOPED_TRACE("reserved " + std::to_string(reserved));
+    TaskGraph graph;
+    graph.reserve(reserved);
+    const TaskSpec* first = nullptr;
+    for (int i = 0; i < kTasks; ++i) {
+      graph.add_task(chain_task(i));
+      if (i == 0) first = &graph.spec(0);
+      // Within the reservation the specs never move.
+      if (static_cast<std::size_t>(i) < reserved) {
+        ASSERT_EQ(&graph.spec(0), first);
+      }
+    }
+    // A reservation below the current size changes nothing.
+    graph.reserve(kTasks / 2);
+    ASSERT_EQ(graph.size(), static_cast<std::size_t>(kTasks));
+    for (int i = 0; i < kTasks; ++i) {
+      ASSERT_EQ(graph.find(key(3, i)), static_cast<std::size_t>(i));
+    }
+    EXPECT_FALSE(graph.contains(key(3, kTasks)));
+    graph.seal(1);
+    for (int i = 0; i + 1 < kTasks; ++i) {
+      const auto edges = graph.consumers(static_cast<std::size_t>(i));
+      ASSERT_EQ(edges.size(), 1u);
+      EXPECT_EQ(edges[0].consumer, static_cast<std::uint32_t>(i + 1));
+      EXPECT_EQ(edges[0].slot, 0);
+      EXPECT_EQ(edges[0].input_pos, 0);
+    }
+    EXPECT_TRUE(graph.consumers(kTasks - 1).empty());
+    EXPECT_THROW(graph.reserve(2 * kTasks), std::logic_error);
+    Runtime runtime(Config{1, 1, true, false});
+    runtime.run(graph);
+    EXPECT_EQ(*runtime.result(key(3, kTasks - 1), 0),
+              std::vector<double>{kTasks - 1.0});
+  }
+}
+
+TEST(TaskGraph, ReservedGraphRebuiltThroughTakeSpecs) {
+  // The rewrite path: take every spec out of a reserved graph, reserve the
+  // new count and add the tasks back, here last first, so every flow names
+  // a producer added after its consumer.
+  constexpr int kTasks = 300;
+  TaskGraph graph;
+  graph.reserve(kTasks);
+  for (int i = 0; i < kTasks; ++i) graph.add_task(chain_task(i));
+  std::vector<TaskSpec> specs = graph.take_specs();
+  ASSERT_EQ(specs.size(), static_cast<std::size_t>(kTasks));
+  EXPECT_EQ(graph.size(), 0u);
+  EXPECT_FALSE(graph.contains(key(3, 0)));
+
+  graph.reserve(kTasks);
+  for (int i = kTasks - 1; i >= 0; --i) {
+    graph.add_task(std::move(specs[static_cast<std::size_t>(i)]));
+  }
+  for (int i = 0; i < kTasks; ++i) {
+    ASSERT_EQ(graph.find(key(3, i)), static_cast<std::size_t>(kTasks - 1 - i));
+  }
+  graph.seal(1);
+  for (int i = 1; i < kTasks; ++i) {
+    // Task i sits at index kTasks - 1 - i; its consumer one index lower.
+    const auto edges = graph.consumers(static_cast<std::size_t>(kTasks - i));
+    ASSERT_EQ(edges.size(), 1u);
+    EXPECT_EQ(edges[0].consumer, static_cast<std::uint32_t>(kTasks - 1 - i));
+  }
+  Runtime runtime(Config{1, 1, true, false});
+  runtime.run(graph);
+  EXPECT_EQ(*runtime.result(key(3, kTasks - 1), 0),
+            std::vector<double>{kTasks - 1.0});
+}
+
+TEST(TaskGraph, ReservedGraphsNameWhatTheyReject) {
+  {
+    TaskGraph graph;
+    graph.reserve(8);
+    graph.add_task(bare_task(key(1)));
+    try {
+      graph.add_task(bare_task(key(1)));
+      ADD_FAILURE() << "duplicate accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "TaskGraph: duplicate task t1(0,0,0)");
+    }
+    EXPECT_EQ(graph.size(), 1u);
+  }
+  {
+    TaskGraph graph;
+    graph.reserve(8);
+    TaskSpec dangling = bare_task(key(2));
+    dangling.inputs = {{key(99), 0}};
+    graph.add_task(std::move(dangling));
+    EXPECT_EQ(seal_error(graph),
+              "TaskGraph: task t2(0,0,0) consumes missing producer "
+              "t99(0,0,0)");
+  }
+  {
+    TaskGraph graph;
+    graph.reserve(8);
+    TaskSpec self = bare_task(key(1));
+    self.inputs = {{key(1), 0}};
+    graph.add_task(std::move(self));
+    EXPECT_EQ(seal_error(graph), "TaskGraph: task t1(0,0,0) consumes itself");
+  }
+  {
+    TaskGraph graph;
+    graph.reserve(8);
+    graph.add_task(bare_task(key(0)));
+    TaskSpec a = bare_task(key(1));
+    a.inputs = {{key(2), 0}, {key(0), 0}};
+    TaskSpec b = bare_task(key(2));
+    b.inputs = {{key(1), 0}};
+    graph.add_task(std::move(a));
+    graph.add_task(std::move(b));
+    EXPECT_EQ(seal_error(graph),
+              "TaskGraph: dependency cycle detected (2 tasks unreachable)");
+    EXPECT_FALSE(graph.sealed());
+  }
 }
 
 // Build a chain: source publishes {1,2,3}; each stage adds 1 to every

@@ -13,6 +13,8 @@
 #include <utility>
 
 #include "equivalence_helpers.hpp"
+#include "net/persistent_channel.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/graph_transform.hpp"
 #include "spec/stencil_spec.hpp"
 #include "stencil/dist_stencil.hpp"
@@ -637,31 +639,46 @@ TEST(DistStencil, GatherHandsTheFieldOverOncePerRun) {
 TEST(DistStencil, BatchedSolvesSharingOneGraphGatherEach) {
   // The solver farm's batch shape: several solves in one graph (distinct
   // key spaces, tile shapes and CA steps, one with zero iterations), one
-  // run, then one gather per solve.
+  // run, then one gather per solve. Each solve reserves its own task count
+  // on top of the graph's; with persistent routes the run goes through a
+  // PersistentChannel.
   const std::vector<Problem> problems = {random_problem(20, 18, 6, 1),
                                          random_problem(16, 24, 5, 2),
                                          random_problem(12, 12, 0, 3)};
   const std::vector<Decomposition> decomps = {
       {10, 9, 2, 2}, {4, 6, 2, 2}, {6, 6, 2, 2}};
-  rt::TaskGraph graph;
-  std::vector<SolveSubgraph> subgraphs;
-  for (std::size_t i = 0; i < problems.size(); ++i) {
-    DistConfig config;
-    config.decomp = decomps[i];
-    config.steps = i == 1 ? 2 : 1;
-    config.key_space = static_cast<std::uint32_t>(i);
-    subgraphs.push_back(add_solve_subgraph(graph, problems[i], config));
-  }
-  rt::Config rt_config;
-  rt_config.nranks = 4;
-  rt_config.workers_per_rank = 2;
-  rt::Runtime runtime(rt_config);
-  runtime.run(graph);
-  for (std::size_t i = 0; i < problems.size(); ++i) {
-    EXPECT_EQ(Grid2D::max_abs_diff(subgraphs[i].gather(runtime),
-                                   solve_serial(problems[i])),
-              0.0)
-        << "solve " << i;
+  const std::vector<std::size_t> tiles = {4, 16, 4};
+  for (const bool persistent : {false, true}) {
+    SCOPED_TRACE(persistent ? "persistent" : "default");
+    rt::TaskGraph graph;
+    std::vector<SolveSubgraph> subgraphs;
+    std::size_t tasks = 0;
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+      DistConfig config;
+      config.decomp = decomps[i];
+      config.steps = i == 1 ? 2 : 1;
+      config.key_space = static_cast<std::uint32_t>(i);
+      config.persistent = persistent;
+      subgraphs.push_back(add_solve_subgraph(graph, problems[i], config));
+      tasks += tiles[i] * (problems[i].iterations + 1);
+      EXPECT_EQ(graph.size(), tasks) << "solve " << i;
+    }
+    rt::Config rt_config;
+    rt_config.nranks = 4;
+    rt_config.workers_per_rank = 2;
+    if (persistent) {
+      rt_config.metrics = std::make_shared<obs::MetricsRegistry>();
+      rt_config.channel_factory =
+          net::persistent_channel_factory(nullptr, rt_config.metrics);
+    }
+    rt::Runtime runtime(rt_config);
+    runtime.run(graph);
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+      EXPECT_EQ(Grid2D::max_abs_diff(subgraphs[i].gather(runtime),
+                                     solve_serial(problems[i])),
+                0.0)
+          << "solve " << i;
+    }
   }
 }
 
